@@ -124,20 +124,41 @@ class SampledFunction:
         return SampledFunction(self.grid, values, singular_exponent)
 
 
-def _pow_diff(a, b, p: float):
-    """a**p - b**p elementwise for 0 <= b <= a, without cancellation.
+def _cell_weights(nu: float, a, b, h, pa, pb):
+    """Endpoint weights (t_left, t_right) of cells [t_j, t_j + h].
 
-    When the gap a-b is small against a the direct difference loses
-    digits; exp/log1p rewrites it as -a^p expm1(p log1p(-(a-b)/a)).
-    Entries with a <= 0 (masked-out cells) produce garbage here and
-    must be discarded by the caller.
+    a = x - t_j and b = a - h are the distances from the output node x
+    to the cell ends, and pa = a**nu, pb = b**nu are passed in so that
+    callers can share one power between neighbouring cells.  The kernel
+    moments are d0 = (a^nu - b^nu)/nu and d1 = (a^(nu+1) - b^(nu+1))/(nu+1).
+    Those direct differences lose digits when h is small against a, so
+    they are taken only where h/a >= 1/4 (a thin band next to the
+    diagonal, patched in afterwards) and rewritten elsewhere as
+    -a^p expm1(p log1p(-h/a)).  One expm1 serves both moments:
+    (1-r)^(nu+1) - 1 = e0 - r (1 + e0) with e0 = (1-r)^nu - 1, a sum of
+    two non-positive terms, so nothing cancels.  Entries with b < 0
+    produce garbage here and must be discarded by the caller.
     """
     with np.errstate(all="ignore"):
-        ratio = (a - b) / a
-        direct = a**p - b**p
-        rc = np.clip(ratio, 0.0, 0.25)
-        series = -(a**p) * np.expm1(p * np.log1p(-rc))
-        return np.where(ratio < 0.25, series, direct)
+        ratio = h / a
+        rc = np.minimum(ratio, 0.25)
+        e0 = np.expm1(nu * np.log1p(-rc))
+        e1 = e0 - rc * (1.0 + e0)
+        d0 = pa * e0
+        d0 *= -1.0 / nu
+        d1 = a * pa
+        d1 *= e1
+        d1 *= -1.0 / (nu + 1.0)
+        near = np.nonzero(ratio >= 0.25)
+        an, bn, pan, pbn = a[near], b[near], pa[near], pb[near]
+        d0[near] = (pan - pbn) / nu
+        d1[near] = (an * pan - bn * pbn) / (nu + 1.0)
+        t_right = a * d0
+        t_right -= d1
+        t_right /= h
+        t_left = d0
+        t_left -= t_right
+    return t_left, t_right
 
 
 def _first_cell_columns(nu: float, x: np.ndarray):
@@ -147,13 +168,8 @@ def _first_cell_columns(nu: float, x: np.ndarray):
     and the kernel is integrated exactly against that continuation.
     """
     x1 = x[0]
-    a = x
     b = x - x1
-    d0 = _pow_diff(a, b, nu) / nu
-    d1 = _pow_diff(a, b, nu + 1.0) / (nu + 1.0)
-    m1 = a * d0 - d1
-    t_left = d0 - m1 / x1
-    t_right = m1 / x1
+    t_left, t_right = _cell_weights(nu, x, b, x1, x**nu, b**nu)
     if x.size == 1:
         # no second sample to extrapolate from: constant continuation
         return t_left + t_right, np.zeros_like(x)
@@ -168,7 +184,13 @@ def _apply_rule(nu: float, x: np.ndarray, y, sigma, want_matrix: bool):
 
     Cell [x_j, x_{j+1}] contributes to output node i >= j+1 through the
     exact moments M0 = int (x_i-t)^(nu-1) dt and M1 = int .. (t-x_j) dt,
-    split onto the two endpoint samples.
+    split onto the two endpoint samples.  Only the lower triangle is
+    computed: row block i0:i1 evaluates the cells j < i1 - 1, the only
+    ones that reach its rows, and writes them straight into its rows of
+    the matrix.  The power (x_i - x_j)^nu of a cell's left end is the
+    right-end power of the cell before it, so each block takes one power
+    per entry.  The upper triangle stays zero except W[0, 1], the weight
+    of the second sample in the first cell's linear extrapolation.
 
     A declared leading power sigma is handled by subtraction: the model
     c t^sigma with c matched at the first node integrates in closed
@@ -187,7 +209,6 @@ def _apply_rule(nu: float, x: np.ndarray, y, sigma, want_matrix: bool):
     h = np.diff(x)
     col1, col2 = _first_cell_columns(nu, x)
     rg = 1.0 / math.gamma(nu)
-    model_col = None
     if sigma is not None:
         with np.errstate(all="ignore"):
             power_in = x**sigma
@@ -204,34 +225,32 @@ def _apply_rule(nu: float, x: np.ndarray, y, sigma, want_matrix: bool):
     out = None if y is None else np.empty(m)
     W = np.zeros((m, m)) if want_matrix else None
     model_acc = np.empty(m) if (want_matrix and sigma is not None) else None
-    block = 512
+    block = 256  # rows; keeps each block temporary near 4 MB at m = 2048
     for i0 in range(0, m, block):
         i1 = min(i0 + block, m)
-        xi = x[i0:i1, None]
-        a = xi - x[None, :-1]
-        b = xi - x[None, 1:]
-        valid = b > -1e-300
-        d0 = _pow_diff(a, b, nu) / nu
-        d1 = _pow_diff(a, b, nu + 1.0) / (nu + 1.0)
-        with np.errstate(all="ignore"):
-            m1 = a * d0 - d1
-            t_right = m1 / h[None, :]
-            t_left = d0 - t_right
-        t_left = np.where(valid, t_left, 0.0)
-        t_right = np.where(valid, t_right, 0.0)
-        wb = np.zeros((i1 - i0, m))
-        wb[:, :-1] += t_left
-        wb[:, 1:] += t_right
+        n = i1 - 1
+        wb = W[i0:i1, :i1] if want_matrix else np.zeros((i1 - i0, i1))
+        if n > 0:
+            dist = x[i0:i1, None] - x[None, :i1]
+            with np.errstate(invalid="ignore"):
+                pw = dist**nu
+            t_left, t_right = _cell_weights(
+                nu, dist[:, :-1], dist[:, 1:], h[:n], pw[:, :-1], pw[:, 1:]
+            )
+            # cells j >= i lie beyond row i; they sit in the block's own
+            # square, columns i0 onward
+            t_left[:, i0:] = np.tril(t_left[:, i0:], -1)
+            t_right[:, i0:] = np.tril(t_right[:, i0:], -1)
+            wb[:, :n] = t_left
+            wb[:, 1:] += t_right
         wb[:, 0] += col1[i0:i1]
         if m > 1:
             wb[:, 1] += col2[i0:i1]
         wb *= rg
-        if want_matrix:
-            W[i0:i1] = wb
-            if model_acc is not None:
-                model_acc[i0:i1] = wb @ power_in
+        if model_acc is not None:
+            model_acc[i0:i1] = wb @ power_in[:i1]
         if y is not None:
-            out[i0:i1] = wb @ y_sub
+            out[i0:i1] = wb @ y_sub[:i1]
     if y is not None and c != 0.0:
         out += c * exact_out
     if W is not None and sigma is not None:
@@ -278,17 +297,39 @@ def rl_integral_grid(order: float, f: SampledFunction) -> SampledFunction:
     return SampledFunction(f.grid, vals, _public_sigma(lead))
 
 
+# the last matrix quadrature_matrix built, as (key, matrix), or None
+_last_matrix = None
+
+
 def quadrature_matrix(order: float, grid: GradedGrid, singular_exponent=None) -> np.ndarray:
     """Dense matrix of the rl_integral_grid rule, for repeated application.
 
-    Assembled fresh on every call; row i holds the weights mapping the
-    samples to the integral at x_i.  Identical to rl_integral_grid by
-    construction (same assembly routine).
+    Row i holds the weights mapping the samples to the integral at x_i.
+    Identical to rl_integral_grid by construction (same assembly
+    routine).  The last matrix is kept, keyed on (order, grid,
+    singular_exponent), so repeated solves on one grid assemble it once;
+    it is returned read-only because every caller with that key shares
+    it.  Only one matrix is held: a new key drops the old matrix before
+    the new one is assembled, so the cache never holds two at once.
     """
+    global _last_matrix
     order = float(order)
     if not (math.isfinite(order) and 0.0 < order < 2.0):
         raise ParameterOutOfRangeError(f"integral order must be in (0, 2), got {order!r}")
+    if singular_exponent is not None:
+        singular_exponent = float(singular_exponent)
+    key = (order, grid, singular_exponent)
+    # one read of the slot, so key and matrix always belong together
+    last = _last_matrix
+    if last is not None and last[0] == key:
+        return last[1]
+    # drop every reference to the old matrix, this frame's included, so
+    # that it is freed before the new one is assembled
+    del last
+    _last_matrix = None
     _, W = _apply_rule(order, grid.nodes, None, singular_exponent, True)
+    W.flags.writeable = False
+    _last_matrix = (key, W)
     return W
 
 

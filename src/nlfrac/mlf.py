@@ -651,9 +651,15 @@ def eval_weighted(p: CMWeightedParams, x: float) -> float:
 
 
 def eval_weighted_many(p: CMWeightedParams, x) -> np.ndarray:
-    """Vectorised eval_weighted over positive abscissae."""
+    """Vectorised eval_weighted over x >= 0; zeros take eval_weighted's limit."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0.0):
-        raise ParameterOutOfRangeError("batched weighted kernel needs x > 0")
+    if np.any(x < 0.0):
+        raise ParameterOutOfRangeError("batched weighted kernel needs x >= 0")
+    zero = x == 0.0
+    if zero.any():
+        out = np.full(x.shape, eval_weighted(p, 0.0))
+        if not zero.all():
+            out[~zero] = eval_weighted_many(p, x[~zero])
+        return out
     e = eval_ml_many(p.alpha, p.beta, -p.lam * x**p.alpha)
     return x ** (p.gamma_w - 1.0) * e

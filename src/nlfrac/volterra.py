@@ -6,8 +6,10 @@ is equivalent to the weakly singular Volterra equation
     y(x) = sum_k y_k x^sigma_k / Gamma(sigma_k + 1) + (I^alpha F(., y))(x).
 
 The homogeneous part is carried analytically as a power sum the whole
-way through; only the forcing integral is discretized, through one
-quadrature matrix assembled per solve.  Successive substitution then
+way through; only the forcing integral is discretized, through the
+quadrature matrix of gridops.quadrature_matrix, which keeps the last one
+it built, so repeated solves and residual checks on one (order, grid,
+exponent) assemble it once.  Successive substitution then
 converges like a Mittag-Leffler series in lambda x^alpha even when the
 naive contraction constant exceeds one.
 

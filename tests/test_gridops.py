@@ -1,6 +1,8 @@
 """Graded-grid quadrature and the discrete operator chain."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +88,90 @@ def test_quadrature_matrix_matches_operator():
     W = quadrature_matrix(0.6, g)
     np.testing.assert_allclose(W @ f.values, rl_integral_grid(0.6, f).values,
                                rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 513])
+@pytest.mark.parametrize("order", [0.3, 1.0, 1.7])
+@pytest.mark.parametrize("sigma", [None, -0.3])
+def test_quadrature_matrix_assembly(m, order, sigma):
+    g = GradedGrid(2.0, m, 2.0)
+    f = _sample(g, lambda x: np.cos(x) + (0.0 if sigma is None else x**sigma), sigma)
+    W = quadrature_matrix(order, g, singular_exponent=sigma)
+    np.testing.assert_allclose(W @ f.values, rl_integral_grid(order, f).values,
+                               rtol=1e-12, atol=0)
+    # only the lower triangle is assembled; W[0, 1] is the second
+    # sample's weight in the first cell's linear extrapolation
+    upper = np.triu(W, 1)
+    if m > 1:
+        assert upper[0, 1] != 0.0
+        upper[0, 1] = 0.0
+    assert not upper.any()
+
+
+def test_quadrature_matrix_is_kept_and_read_only():
+    g = GradedGrid(2.0, 64, 2.0)
+    W = quadrature_matrix(0.6, g, singular_exponent=-0.2)
+    assert quadrature_matrix(0.6, GradedGrid(2.0, 64, 2.0), singular_exponent=-0.2) is W
+    with pytest.raises(ValueError):
+        W[1, 0] = 1.0
+    assert not W.flags.writeable
+
+
+@pytest.mark.parametrize("other", [
+    (0.7, GradedGrid(2.0, 64, 2.0), -0.2),
+    (0.6, GradedGrid(2.0, 64, 3.0), -0.2),
+    (0.6, GradedGrid(3.0, 64, 2.0), -0.2),
+    (0.6, GradedGrid(2.0, 64, 2.0), None),
+    (0.6, GradedGrid(2.0, 64, 2.0), -0.3),
+])
+def test_quadrature_matrix_key_change_rebuilds(other):
+    W = quadrature_matrix(0.6, GradedGrid(2.0, 64, 2.0), singular_exponent=-0.2)
+    order, grid, sigma = other
+    V = quadrature_matrix(order, grid, singular_exponent=sigma)
+    assert V is not W
+    assert not np.array_equal(V, W)
+
+
+def test_quadrature_matrix_alternating_keys_stay_exact():
+    ga, gb = GradedGrid(2.0, 200, 2.0), GradedGrid(5.0, 300, 3.0)
+    fa = _sample(ga, lambda x: np.exp(-x) + x**-0.4, -0.4)
+    fb = _sample(gb, np.cos)
+    want_a = rl_integral_grid(0.5, fa).values
+    want_b = rl_integral_grid(1.3, fb).values
+    for _ in range(2):
+        np.testing.assert_allclose(quadrature_matrix(0.5, ga, -0.4) @ fa.values,
+                                   want_a, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(quadrature_matrix(1.3, gb) @ fb.values,
+                                   want_b, rtol=1e-12, atol=0)
+
+
+def test_quadrature_matrix_shared_across_threads():
+    # every thread must get the matrix of its own key while the slot
+    # keeps changing under it; more threads than cores, short switches
+    keys = [(0.4 + 0.1 * k, GradedGrid(1.0 + k, 24, 2.0)) for k in range(3)]
+    probes = [_sample(g, np.cos) for _, g in keys]
+    wants = [rl_integral_grid(o, f).values for (o, _), f in zip(keys, probes)]
+    errors = []
+
+    def work(start):
+        for i in range(150):
+            k = (start + i) % len(keys)
+            got = quadrature_matrix(*keys[k]) @ probes[k].values
+            if not np.allclose(got, wants[k], rtol=1e-12, atol=0):
+                errors.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_declared_singularity_is_integrated_accurately():

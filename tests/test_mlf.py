@@ -173,6 +173,27 @@ def test_weighted_at_zero():
         eval_weighted(CMWeightedParams(0.5, 0.8, 0.8, 2.0), 0.0)
 
 
+@pytest.mark.parametrize("params", [
+    CMWeightedParams(0.5, 1.3, 1.0, 2.0),  # gamma_w = 1: 1/Gamma(beta)
+    CMWeightedParams(0.5, 1.4, 1.4, 2.0),  # gamma_w > 1: 0
+])
+def test_weighted_many_at_zero_matches_scalar(params):
+    xs = np.array([0.0, 0.5, 0.0, 2.0])
+    got = eval_weighted_many(params, xs)
+    for x, v in zip(xs, got):
+        assert v == pytest.approx(eval_weighted(params, float(x)), rel=1e-15)
+    assert got[0] == eval_weighted(params, 0.0)
+    np.testing.assert_array_equal(eval_weighted_many(params, np.zeros(3)),
+                                  np.full(3, eval_weighted(params, 0.0)))
+
+
+def test_weighted_many_at_zero_rejects_divergent_weight():
+    with pytest.raises(EvaluationAtZeroUndefinedError):
+        eval_weighted_many(CMWeightedParams(0.5, 0.8, 0.8, 2.0), np.array([0.0, 1.0]))
+    with pytest.raises(ParameterOutOfRangeError):
+        eval_weighted_many(CMWeightedParams(0.5, 1.0, 1.0, 2.0), np.array([-1.0, 1.0]))
+
+
 def test_cm_weighted_is_decreasing_when_admissible():
     p = CMWeightedParams(0.6, 1.0, 1.0, 1.0)
     xs = np.linspace(1e-3, 50.0, 300)

@@ -67,8 +67,22 @@ def test_classical_exponential_limit():
     xs = np.linspace(0.025, 5.0, 200)
     got = evaluate_solution_many(sol, xs)
     np.testing.assert_allclose(got, np.exp(-2.0 * xs), rtol=1e-13, atol=1e-15)
-    # the batch path insists on x > 0; the scalar one takes the limit
+    # both paths take the x = 0 limit term by term
     assert evaluate_solution(sol, 0.0) == pytest.approx(1.0, rel=1e-14)
+    assert evaluate_solution_many(sol, np.array([0.0]))[0] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_batch_evaluation_includes_the_origin():
+    sol = solve_relaxation(RelaxationProblem(DerivativeSpec(1, 0.6, (0.4,)), 1.0, (1.0,)))
+    got = sol(np.array([0.0, 1.0]))
+    assert got[0] == pytest.approx(evaluate_solution(sol, 0.0), rel=1e-15)
+    assert got[1] == pytest.approx(evaluate_solution(sol, 1.0), rel=1e-14)
+    # a term whose weight diverges at 0 has no value there on either path
+    rl = solve_relaxation(RelaxationProblem(RL_1, 1.0, (1.0,)))
+    with pytest.raises(EvaluationAtZeroUndefinedError):
+        evaluate_solution(rl, 0.0)
+    with pytest.raises(EvaluationAtZeroUndefinedError):
+        rl(np.array([0.0, 1.0]))
 
 
 def test_half_order_matches_erfcx_composition():

@@ -14,6 +14,7 @@ from nlfrac import (
     evaluate_solution_many,
     make_rhs,
     picard_solve,
+    quadrature_matrix,
     reduce_spec,
     residual,
     solve_relaxation,
@@ -100,6 +101,25 @@ def test_residual_detects_perturbation():
     r = residual(p, res.solution.values + eps)
     q = 1.0 * 1.0**0.6 * 0.5 / 0.893515  # lam x^a / Gamma(1+a), rough
     assert eps * (1.0 - q) * 0.9 <= r <= eps * 1.001
+
+
+def test_residual_after_solve_reuses_the_matrix(monkeypatch):
+    import nlfrac.volterra as volterra
+    built = []
+
+    def recording(*args, **kwargs):
+        W = quadrature_matrix(*args, **kwargs)
+        built.append(W)
+        return W
+
+    monkeypatch.setattr(volterra, "quadrature_matrix", recording)
+    g = _grid_for(CAPUTO_1, x_max=1.0, m=512)
+    p = VolterraProblem(CAPUTO_1, make_rhs("linear", {"c": -0.8}), (1.0,), g)
+    res = picard_solve(p)
+    r = residual(p, res.solution)
+    assert len(built) == 2
+    assert built[1] is built[0]
+    assert r == pytest.approx(res.residual, rel=1e-12, abs=1e-15)
 
 
 def test_iteration_contracts_monotonically():
