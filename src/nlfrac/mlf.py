@@ -166,15 +166,19 @@ def _neumaier_add(s, c, t):
 def _series(alpha, beta, z):
     """Defining series with compensated summation.
 
-    Returns (value, converged, realised cancellation digits).
+    Returns (value, converged, realised cancellation digits).  At
+    alpha = 1 the term itself is carried by the ratio
+    t_{k+1} = t_k z / (beta + k): z^k alone overflows near k = 134 at
+    z = 200, long before the terms peak at k ~ z.
     """
+    ratio = alpha == 1.0
     s = 0.0
     c = 0.0
-    p = 1.0
+    p = reciprocal_gamma(beta) if ratio else 1.0
     maxt = 0.0
     converged = False
     for k in range(C.SERIES_MAX_TERMS):
-        t = p * reciprocal_gamma(alpha * k + beta)
+        t = p if ratio else p * reciprocal_gamma(alpha * k + beta)
         s, c = _neumaier_add(s, c, t)
         at = abs(t)
         if at > maxt:
@@ -182,7 +186,7 @@ def _series(alpha, beta, z):
         if k >= 1 and at <= C.SERIES_TAIL_REL * (maxt if maxt > 0.0 else 1.0):
             converged = True
             break
-        p *= z
+        p = p * z / (beta + k) if ratio else p * z
         if not math.isfinite(p):
             break
     total = s + c
@@ -471,25 +475,28 @@ def eval_ml_asymptotic_leading(q: MLQuery) -> float:
 # ---------------------------------------------------------------------------
 # batched evaluation
 
+def _neumaier_batch(s, c, t):
+    """One compensated step on arrays; the same arithmetic as _neumaier_add."""
+    u = s + t
+    c = np.where(np.abs(s) >= np.abs(t), c + ((s - u) + t), c + ((t - u) + s))
+    return u, c
+
+
 def _series_batch(alpha, beta, z):
     """Vector series for entries known to fit the cancellation budget.
 
     Returns (values, realised digits) arrays.
     """
     z = np.asarray(z, dtype=float)
+    ratio = alpha == 1.0
     s = np.zeros_like(z)
     c = np.zeros_like(z)
-    p = np.ones_like(z)
+    p = np.full_like(z, reciprocal_gamma(beta)) if ratio else np.ones_like(z)
     maxt = np.zeros_like(z)
     alive = np.ones(z.shape, dtype=bool)
     for k in range(C.SERIES_MAX_TERMS):
-        rg = reciprocal_gamma(alpha * k + beta)
-        t = p * rg
-        # Neumaier step, vectorised
-        u = s + t
-        big = np.abs(s) >= np.abs(t)
-        c = np.where(big, c + ((s - u) + t), c + ((t - u) + s))
-        s = u
+        t = p if ratio else p * reciprocal_gamma(alpha * k + beta)
+        s, c = _neumaier_batch(s, c, t)
         at = np.abs(t)
         np.maximum(maxt, at, out=maxt)
         if k >= 1:
@@ -500,7 +507,7 @@ def _series_batch(alpha, beta, z):
                 alive &= ~newly
             if not np.any(alive):
                 break
-        p = p * z
+        p = p * z / (beta + k) if ratio else p * z
     total = s + c
     with np.errstate(divide="ignore", invalid="ignore"):
         digits = np.where(
@@ -509,6 +516,132 @@ def _series_batch(alpha, beta, z):
             np.where(maxt > 0.0, np.inf, 0.0),
         )
     return total, digits
+
+
+def _asymptotic_batch(alpha, beta, z):
+    """_asymptotic over an array of z, equal to it bit for bit.
+
+    The coefficients -1/Gamma(beta - j alpha) are formed once, and the
+    terms of all points are built row by row in a (terms x points)
+    table.  Each point keeps the scalar's stopping rules (p == 0,
+    non-finite p or term), its two-term envelope cut and its Neumaier
+    sum.  Returns (values, estimated relative truncation errors).
+    """
+    z = np.asarray(z, dtype=float)
+    nterms = C.ASYM_MAX_TERMS
+    coef = np.array([-reciprocal_gamma(beta - j * alpha) for j in range(1, nterms + 1)])
+    terms = np.zeros((nterms, z.size))
+    count = np.full(z.shape, nterms)
+    alive = np.ones(z.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zi = 1.0 / z
+        p = np.ones_like(z)
+        for j in range(nterms):
+            p = p * zi
+            t = p * coef[j]
+            stop = alive & ((p == 0.0) | ~np.isfinite(p) | ~np.isfinite(t))
+            if stop.any():
+                count[stop] = j
+                alive &= ~stop
+                if not alive.any():
+                    break
+            terms[j] = t
+        mags = np.abs(terms)
+        mags[np.arange(nterms)[:, None] >= count] = np.inf
+        env = np.maximum(mags[:-1], mags[1:])
+        # with a single term, the envelope is that term alone
+        env[0] = np.where(count == 1, mags[0], env[0])
+        cut = np.argmin(env, axis=0)
+        env_cut = env[cut, np.arange(z.size)]
+        s = np.zeros_like(z)
+        c = np.zeros_like(z)
+        for j in range(int(cut.max(initial=0)) + 1):
+            u, cu = _neumaier_batch(s, c, terms[j])
+            take = j <= cut
+            s = np.where(take, u, s)
+            c = np.where(take, cu, c)
+        total = s + c
+        empty = (count == 0) | (total == 0.0)
+        vals = np.where(empty, 0.0, total)
+        rel = np.where(empty, np.inf, env_cut / np.abs(total))
+    return vals, rel
+
+
+def _kummer_batch(beta, x):
+    """E_{1,beta}(-x) for x in (ALPHA_ONE_SERIES_ABS_Z, ALPHA_ONE_ASYM_ABS_Z].
+
+    The Kummer sum of _alpha_one, swept over all points at once.  A
+    point leaves the sweep at the term where the scalar loop breaks, so
+    its sum is the scalar's.
+    """
+    x = np.asarray(x, dtype=float)
+    sums = np.empty_like(x)
+    idx = np.arange(x.size)
+    xs = x
+    s = np.zeros_like(x)
+    c = np.zeros_like(x)
+    term = np.ones_like(x)
+    for k in range(1, 800):
+        term = term * (xs / k)
+        t = term / (beta + k - 1.0)
+        s, c = _neumaier_batch(s, c, t)
+        # every term is positive, so s > 0 and the scalar's guard for s = 0 never fires
+        done = (t < 1e-18 * s) & (term < 1e-18 * np.maximum(1.0, s))
+        if done.any():
+            sums[idx[done]] = s[done] + c[done]
+            keep = ~done
+            idx, xs, s, c, term = idx[keep], xs[keep], s[keep], c[keep], term[keep]
+            if idx.size == 0:
+                break
+    sums[idx] = s + c
+    g = 1.0 + (beta - 1.0) * sums
+    return np.exp(-x) * g * reciprocal_gamma(beta)
+
+
+def _alpha_one_batch(beta, z):
+    """_alpha_one over an array of z, branch by branch.
+
+    Values can differ from the scalar route in the last few bits:
+    np.exp and np.log replace math.exp and math.log, and the partial sum
+    at integer beta is compensated rather than exactly rounded (fsum).
+    The series and Kummer sums are the scalar's.
+    """
+    z = np.asarray(z, dtype=float)
+    if beta == 1.0:
+        with np.errstate(over="ignore"):
+            return np.exp(z)
+    out = np.empty_like(z)
+    small = np.abs(z) <= C.ALPHA_ONE_SERIES_ABS_Z
+    if small.any():
+        out[small] = _series_batch(1.0, beta, z[small])[0]
+    big = ~small
+    if float(beta).is_integer() and beta <= 20.0:
+        m = int(beta)
+        zb = z[big]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # E_{1,m}(z) = z^(1-m) (e^z - sum_{j<=m-2} z^j/j!)
+            partial = np.zeros_like(zb)
+            comp = np.zeros_like(zb)
+            for j in range(m - 1):
+                partial, comp = _neumaier_batch(partial, comp, zb**j / math.gamma(j + 1.0))
+            out[big] = (np.exp(zb) - (partial + comp)) * zb ** (1 - m)
+        return out
+    grow = big & (z > 0.0) & (z <= C.ALPHA_ONE_ASYM_ABS_Z)
+    if grow.any():
+        out[grow] = _series_batch(1.0, beta, z[grow])[0]
+    huge = big & (z > C.ALPHA_ONE_ASYM_ABS_Z)
+    if huge.any():
+        zh = z[huge]
+        arg = zh + (1.0 - beta) * np.log(zh)
+        with np.errstate(over="ignore"):
+            out[huge] = np.where(arg > C.EXP_ARG_MAX, np.inf, np.exp(arg))
+    kummer = big & (z < 0.0) & (z >= -C.ALPHA_ONE_ASYM_ABS_Z)
+    if kummer.any():
+        out[kummer] = _kummer_batch(beta, -z[kummer])
+    far = z < -C.ALPHA_ONE_ASYM_ABS_Z
+    if far.any():
+        out[far] = _asymptotic_batch(1.0, beta, z[far])[0]
+    return out
 
 
 def _integral_cheb(alpha, beta, xs):
@@ -551,23 +684,30 @@ def _integral_cheb(alpha, beta, xs):
 def eval_ml_many(alpha: float, beta: float, z) -> np.ndarray:
     """E_{alpha,beta} over an array of real arguments.
 
-    Same regime logic and accuracy target as eval_ml; points in the
-    series band run as one vectorised sweep, large no-pinch batches of
-    integral-band points share a fixed quadrature rule, everything else
-    loops over the scalar evaluator.
+    Same regime logic and accuracy target as eval_ml, with each regime
+    served for all of its points at once:
+
+    * alpha = 1: the exact exponential forms of _alpha_one, branch by
+      branch (np.exp at beta = 1, the series sweep for |z| <= 7, the
+      closed form at integer beta, a masked Kummer sweep on [-600, -7)
+      and the batched asymptotic below it);
+    * the series band: one vectorised sweep, the same sums as the scalar
+      series;
+    * negative points left over with |z| >= ASYM_MIN_ABS_Z: the batched
+      asymptotic expansion, equal to the scalar one bit for bit;
+    * what it does not accept: a Chebyshev interpolant in log|z| when
+      at least BATCH_QUAD_MIN_POINTS points remain, otherwise scalar
+      quadrature per point;
+    * positive points beyond the series band: the scalar evaluator.
     """
     MLQuery(alpha, beta, 0.0)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(np.isfinite(z)):
         raise ParameterOutOfRangeError("z values must be finite")
-    out = np.empty_like(z)
-    out[:] = np.nan
-
     if alpha == 1.0:
-        for i, zi in enumerate(z):
-            out[i] = _eval(alpha, beta, zi)[0]
-        return out
+        return _alpha_one_batch(beta, z)
 
+    out = np.full_like(z, np.nan)
     ax = np.abs(z)
     with np.errstate(over="ignore"):
         predicted = _LOG10E * ax ** (1.0 / alpha)
@@ -589,26 +729,22 @@ def eval_ml_many(alpha: float, beta: float, z) -> np.ndarray:
         out[idx[ok]] = vals[ok]
         leftover[idx[~ok]] = True
 
-    if np.any(leftover):
-        idx = np.flatnonzero(leftover)
-        remaining = []
-        for i in idx:
-            zi = z[i]
-            if zi > 0.0:
-                out[i] = _eval(alpha, beta, zi)[0]
-                continue
-            if -zi >= C.ASYM_MIN_ABS_Z:
-                v, rel = _asymptotic(alpha, beta, zi)
-                if rel <= C.ASYM_ACCEPT_REL:
-                    out[i] = v
-                    continue
-            remaining.append(i)
-        if len(remaining) >= C.BATCH_QUAD_MIN_POINTS:
-            ridx = np.asarray(remaining)
-            out[ridx] = _integral_cheb(alpha, beta, -z[ridx])
-        else:
-            for i in remaining:
-                out[i] = _integral(alpha, beta, -z[i])
+    for i in np.flatnonzero(leftover & pos):
+        out[i] = _eval(alpha, beta, z[i])[0]
+    remaining = leftover & neg
+    asym = remaining & (ax >= C.ASYM_MIN_ABS_Z)
+    if np.any(asym):
+        idx = np.flatnonzero(asym)
+        vals, rel = _asymptotic_batch(alpha, beta, z[idx])
+        ok = rel <= C.ASYM_ACCEPT_REL
+        out[idx[ok]] = vals[ok]
+        remaining[idx[ok]] = False
+    ridx = np.flatnonzero(remaining)
+    if ridx.size >= C.BATCH_QUAD_MIN_POINTS:
+        out[ridx] = _integral_cheb(alpha, beta, -z[ridx])
+    else:
+        for i in ridx:
+            out[i] = _integral(alpha, beta, -z[i])
     return out
 
 

@@ -27,6 +27,7 @@ from nlfrac import (
     is_cm_params,
     reciprocal_gamma,
 )
+from nlfrac import mlconstants, mlf
 
 
 def test_reciprocal_gamma_values_and_poles():
@@ -125,11 +126,103 @@ def test_regime_boundaries_are_continuous():
     assert float(rel_jump.max()) < 2e-2
 
 
+def _asymptotic_loop(alpha, beta, z):
+    """Per-point asymptotic expansion, the reference for mlf._asymptotic_batch.
+
+    The same stopping rules, two-term envelope cut and Neumaier sum,
+    one point at a time.
+    """
+    zi = 1.0 / z
+    p = 1.0
+    terms = []
+    for j in range(1, mlconstants.ASYM_MAX_TERMS + 1):
+        p *= zi
+        if p == 0.0 or not math.isfinite(p):
+            break
+        t = -p * reciprocal_gamma(beta - j * alpha)
+        if not math.isfinite(t):
+            break
+        terms.append(t)
+    if not terms:
+        return 0.0, math.inf
+    mags = [abs(t) for t in terms]
+    if len(mags) == 1:
+        env = [mags[0]]
+    else:
+        env = [max(mags[i], mags[i + 1]) for i in range(len(mags) - 1)]
+    cut = min(range(len(env)), key=env.__getitem__)
+    s = 0.0
+    c = 0.0
+    for t in terms[: cut + 1]:
+        u = s + t
+        if abs(s) >= abs(t):
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+    total = s + c
+    if total == 0.0:
+        return 0.0, math.inf
+    return total, env[cut] / abs(total)
+
+
+# (0.5, 1.5) and (0.25, 2.0) put beta - j alpha on Gamma poles
+MANY_PAIRS = [(0.7, 1.1), (0.5, 1.5), (0.25, 2.0), (0.05, 0.7), (0.9, 0.4)]
+
+
+@pytest.mark.parametrize("a,b", MANY_PAIRS)
+def test_asymptotic_batch_matches_loop(rng, a, b):
+    # past |z| ~ 1e6 the powers z^-j underflow and cut the term list short
+    zs = -np.concatenate([
+        np.exp(rng.uniform(math.log(10.0), math.log(1e6), 300)),
+        10.0 ** rng.uniform(6.0, 300.0, 100),
+        [10.0, 1e6, 1e200],
+    ])
+    vals, rel = mlf._asymptotic_batch(a, b, zs)
+    for z, v, r in zip(zs, vals, rel):
+        want_v, want_r = _asymptotic_loop(a, b, float(z))
+        assert (v, r) == (want_v, want_r)
+
+
 def test_many_matches_scalar(rng):
-    xs = rng.uniform(0.01, 50.0, 64)
-    vals = eval_ml_many(0.7, 1.1, -xs)
-    for x, v in zip(xs, vals):
-        assert v == eval_ml(MLQuery(0.7, 1.1, -float(x)))
+    for a, b in MANY_PAIRS:
+        # the series and integral band, then the asymptotic band up to 1e6
+        xs = np.concatenate([
+            rng.uniform(0.01, 50.0, 48),
+            np.exp(rng.uniform(math.log(10.0), math.log(1e6), 48)),
+            [1e6],
+        ])
+        regimes = [eval_ml_info(MLQuery(a, b, -float(x)))[1] for x in xs]
+        # below this many integral points the batch takes the scalar quadrature
+        assert regimes.count("integral") < mlconstants.BATCH_QUAD_MIN_POINTS
+        assert "asymptotic" in regimes
+        vals = eval_ml_many(a, b, -xs)
+        for x, v in zip(xs, vals):
+            assert v == eval_ml(MLQuery(a, b, -float(x))), (a, b, x)
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.7, 2.0, 2.5, 3.0])
+def test_many_matches_scalar_at_alpha_one(rng, b):
+    zs = np.concatenate([
+        -np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 200)),
+        np.exp(rng.uniform(math.log(1e-3), math.log(700.0), 60)),
+        [0.0, -7.0, 7.0, -600.0, 600.0, 750.0],
+    ])
+    got = eval_ml_many(1.0, b, zs)
+    want = np.array([eval_ml(MLQuery(1.0, b, float(z))) for z in zs])
+    # np.exp is not math.exp
+    np.testing.assert_allclose(got, want, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("b", [0.5, 1.7, 2.5])
+@pytest.mark.parametrize("z", [120.0, 200.0, 400.0, 599.0])
+def test_alpha_one_growth_against_hypergeometric(b, z):
+    # E_{1,b}(z) = 1F1(1; b; z) / Gamma(b); the series there peaks near
+    # k = z, past where z^k alone overflows
+    with mp.workdps(40):
+        want = float(mp.hyp1f1(1, b, z) / mp.gamma(b))
+    assert eval_ml(MLQuery(1.0, b, z)) == pytest.approx(want, rel=1e-12)
+    assert eval_ml_many(1.0, b, np.array([z]))[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_query_validation():
