@@ -69,6 +69,11 @@ INTEGRAL_BASE_RADIUS = 42.0
 INTEGRAL_EPSREL = 1e-12
 INTEGRAL_LIMIT = 400
 
+# above this alpha the integral route subtracts the pole of the spectral
+# denominator (_integral_pinched): its pinch near r = x^(1/alpha) is then
+# narrower than adaptive quadrature resolves to INTEGRAL_EPSREL
+INTEGRAL_PINCH_ALPHA = 0.999
+
 # batched evaluation: minimum number of integral-regime points worth
 # serving from a Chebyshev interpolant in log|z| (built from scalar
 # quadratures and spot-checked against them), plus its controls

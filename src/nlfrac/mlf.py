@@ -30,6 +30,7 @@ Also here: the weighted kernel h(x) = x^(gamma_w - 1) E_{alpha,beta}
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -354,13 +355,114 @@ def _integral_core(alpha, beta, x):
     return total / math.pi
 
 
+def _integral_pinched(alpha, beta, x):
+    """E_{alpha,beta}(-x) from the spectral integral with its pinch taken out.
+
+    In u = r^alpha the representation of _integral_core reads
+
+        E = (1/pi) int_0^inf psi(u) (u sin(pi b) + x sin(pi(b-a))) / D du,
+        psi(u) = exp(-u^(1/a)) u^p / a,  p = (1-b)/a,
+        D = (u - u0)^2 + h^2,  u0 + i h = w = x e^{i pi (1-a)}.
+
+    As alpha -> 1 the Lorentzian 1/D narrows to a width h ~ pi (1-a) x
+    that adaptive quadrature does not resolve to 1e-12: at alpha = 0.9999
+    _integral_core is off by up to 1e-9, and the Chebyshev interpolant
+    built on it never passes its spot checks.  Because
+    sin(pi b) w + x sin(pi(b-a)) = -x sin(pi a) e^{-i pi b}, the integral
+    equals -(1/pi) Im[e^{-i pi b} int psi(u) / (u - w) du], whose pole w
+    sits h above the axis.  On the window [u1, u2] = [u0/2, 2 u0] the
+    pole is subtracted,
+
+        int psi/(u-w) = int (psi(u) - psi(w))/(u-w) du + psi(w) log((u2-w)/(u1-w)),
+
+    which leaves a smooth integrand.  Elsewhere the real form above is
+    integrated as it stands, so its small factors sin(pi b) and
+    sin(pi(b-a)) stay explicit.  On [0, c], c = min(1, u0/2), the
+    constant part of the integrand at u = 0 is integrated in closed form
+    against u^p, which keeps the pole of u^p at beta = alpha + 1 finite
+    (the same cancellation J_split handles), and the rest goes to QAWS
+    with the weight u^(p+1).
+
+    Preconditions: 2/3 < alpha < 1, 0 < beta <= alpha + 1 (+slack), x > 0.
+    Below alpha = 2/3, |psi(w)| grows like exp(x^(1/a) |cos(pi (1-a)/a)|)
+    and the subtraction cancels catastrophically; _integral takes this
+    route only above INTEGRAL_PINCH_ALPHA.
+    """
+    from scipy.integrate import quad
+
+    ia = 1.0 / alpha
+    # 1 + alpha - beta, exact when beta - alpha lies in [1/2, 2]
+    delta = 1.0 - (beta - alpha)
+    dp = delta * ia
+    p = dp - 1.0
+    th = math.pi * (1.0 - alpha)
+    u0 = x * math.cos(th)
+    h = x * math.sin(th)
+    sb = _sinpi(beta)
+    cb = math.cos(math.pi * beta)
+    sba = _sinpi(beta - alpha)
+
+    def den(u):
+        d = u - u0
+        return d * d + h * h
+
+    def psi(u):
+        return math.exp(-(u**ia)) * u**p / alpha
+
+    def direct(u):
+        return psi(u) * (u * sb + x * sba) / den(u)
+
+    def near_zero(u):
+        # (phi(u) - phi(0)) / u for phi = direct / u^p, without cancellation
+        u = max(u, 1e-300)
+        dn = den(u)
+        ex = math.expm1(-(u**ia)) / u
+        return (ex * (u * sb + x * sba) / dn + (x * sb + sba * (2.0 * u0 - u)) / (x * dn)) / alpha
+
+    def _quad(f, lo, hi, **kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            val, _err = quad(
+                f, lo, hi, limit=C.INTEGRAL_LIMIT, epsabs=0.0, epsrel=C.INTEGRAL_EPSREL, **kw
+            )
+        return val
+
+    u1 = 0.5 * u0
+    u2 = 2.0 * u0
+    c = min(1.0, u1)
+    total = _quad(near_zero, 0.0, c, weight="alg", wvar=(dp, 0.0))
+    if u1 > c:
+        total += _quad(direct, c, u1)
+
+    w = complex(u0, h)
+    pw = cmath.exp(-(w**ia)) * w**p / alpha
+    pr = pw.real
+    pim = pw.imag
+
+    def window(u):
+        d = u - u0
+        return ((psi(u) - pr) * (sb * d - cb * h) + pim * (sb * h + cb * d)) / den(u)
+
+    total += _quad(window, u1, u2, points=[u0])
+    lr = 0.5 * math.log(den(u2) / den(u1))
+    li = math.pi - math.atan(h / (u2 - u0)) - math.atan(h / (u0 - u1))
+    total += sb * (pr * lr - pim * li) - cb * (pr * li + pim * lr)
+    total += _quad(direct, u2, math.inf)
+
+    # int_0^c u^p phi(0) du = sin(pi(b-a)) c^dp / (x delta), where
+    # sin(pi(b-a)) = sin(pi delta) -> 0 with delta
+    ratio = 1.0 if delta == 0.0 else sba / (math.pi * delta)
+    return total / math.pi + ratio * c**dp / x
+
+
 def _integral(alpha, beta, x):
     """E_{alpha,beta}(-x) by the integral route, any beta > 0."""
+    core = _integral_pinched if alpha > C.INTEGRAL_PINCH_ALPHA else _integral_core
     if beta <= alpha + 1.0 + 1e-12:
-        return _integral_core(alpha, beta, x)
+        return core(alpha, beta, x)
     m = math.ceil((beta - 1.0) / alpha - 1e-12)
     b = beta - m * alpha
-    v = _integral_core(alpha, b, x)
+    v = core(alpha, b, x)
     z = -x
     for _ in range(m):
         v = (v - reciprocal_gamma(b)) / z

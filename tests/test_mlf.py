@@ -225,6 +225,58 @@ def test_alpha_one_growth_against_hypergeometric(b, z):
     assert eval_ml_many(1.0, b, np.array([z]))[0] == pytest.approx(want, rel=1e-12)
 
 
+def _transform_oracle(a, b, x):
+    """E_{a,b}(-x) by Talbot inversion of s^(a-b) / (s^a + x) at t = 1."""
+    with mp.workdps(40):
+        am, bm, xm = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+        return float(mp.invertlaplace(lambda s: s ** (am - bm) / (s**am + xm), 1,
+                                      method="talbot"))
+
+
+# just below alpha = 1 the spectral denominator pinches to a width of
+# about pi (1 - alpha) x; beta = alpha and beta = alpha + 1 are the two
+# cancellation edges of the representation
+@pytest.mark.parametrize("a", [0.9995, 0.99994, 0.9999999])
+@pytest.mark.parametrize("db", [0.0, 1e-5, 0.3, 1.0])
+@pytest.mark.parametrize("x", [1.5, 20.0, 300.0])
+def test_integral_near_alpha_one_against_transform(a, db, x):
+    b = a + db
+    assert mlf._integral(a, b, x) == pytest.approx(_transform_oracle(a, b, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.7, 0.8, 0.95, 0.99])
+@pytest.mark.parametrize("b", [0.2, 1.0, 1.5])
+def test_pinched_route_matches_plain_route(a, b):
+    # where the pinch is wide the plain quadrature resolves it too; below
+    # alpha = 2/3 psi(w) grows with x and the pinched route does not apply
+    b = min(b, a + 1.0)
+    for x in (0.7, 4.0, 30.0):
+        assert mlf._integral_pinched(a, b, x) == pytest.approx(
+            mlf._integral_core(a, b, x), rel=1e-11)
+
+
+def test_many_near_alpha_one_is_accurate_and_uses_an_interpolant():
+    a = 0.99994
+    xs = -0.92 * np.geomspace(1e-3, 1e3, 2000) ** a
+    calls = []
+    integral = mlf._integral
+
+    def counted(*args):
+        calls.append(args)
+        return integral(*args)
+
+    mlf._integral = counted
+    try:
+        vals = eval_ml_many(a, 1.0, xs)
+    finally:
+        mlf._integral = integral
+    # a Chebyshev build is a few hundred quadratures; the per-point
+    # fallback after failed spot checks was about a thousand
+    assert 0 < len(calls) < 200
+    for i in range(0, xs.size, 167):
+        assert vals[i] == pytest.approx(_transform_oracle(a, 1.0, -xs[i]), rel=1e-10)
+
+
 def test_query_validation():
     with pytest.raises(ParameterOutOfRangeError):
         MLQuery(0.0, 1.0, 1.0)
