@@ -565,8 +565,6 @@ def _build_parser() -> _Parser:
     def common(sp, fmt_default="text"):
         sp.add_argument("--out", help="output path (stdout when omitted)")
         sp.add_argument("--format", choices=("text", "csv", "json"), default=fmt_default)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("mlf", help="evaluate the two-parameter Mittag-Leffler function")
     sp.add_argument("--alpha", type=float, required=True)
@@ -598,8 +596,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--points", type=int, default=2048)
     sp.add_argument("--grading", type=float, default=None)
     sp.add_argument("--max-iter", type=int, default=200)
+    sp.add_argument("--tol", type=float, default=1e-8)
     common(sp, fmt_default="csv")
-    sp.set_defaults(fn=_cmd_picard, tol_default=1e-8)
+    sp.set_defaults(fn=_cmd_picard)
 
     sp = sub.add_parser("fit", help="recover relaxation parameters from x,y data")
     sp.add_argument("--data", required=True, help="CSV with x,y header")
@@ -608,12 +607,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--bounds", help="JSON file of {name: [lo, hi]} overrides")
     sp.add_argument("--guess", required=True, help="full start vector, comma-separated")
     sp.add_argument("--downweight-origin", action="store_true")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp, fmt_default="json")
     sp.set_defaults(fn=_cmd_fit)
 
     sp = sub.add_parser("verify", help="run a seeded property suite")
     sp.add_argument("suite", choices=SUITE_NAMES)
     sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=float, default=None)
     common(sp, fmt_default="json")
     sp.set_defaults(fn=_cmd_verify)
 
@@ -626,8 +628,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "tol", None) is None and hasattr(args, "tol_default"):
-        args.tol = args.tol_default
     try:
         return args.fn(args)
     except (NonConvergenceError, EvaluationAtZeroUndefinedError) as exc:

@@ -7,10 +7,11 @@ switch points below were frozen after a calibration sweep against a
 40+ digit reference (mpmath series at adaptive precision, Talbot
 transform inversion where the series needs infeasible precision,
 cross-checked on alpha = 1/2 against scipy.special.erfcx); the sweep
-script is tests/calibrate_mlf.py.  Observed worst-case relative error
-over the 1520-point grid plus 600 random draws (alpha in [0.05, 1],
-|z| <= 1e5, beta <= 3) was 1.1e-11, regime-by-regime below 2e-11 with
-these settings.
+script is tests/calibrate_mlf.py.  On its 1520-point grid (alpha in
+[0.05, 1], |z| <= 1e5, beta <= 2.5) the worst relative errors with these
+settings are 1.0e-11 (asymptotic), 9.6e-12 (series), 3.8e-12 (integral)
+and 1.3e-15 (alpha = 1 closed forms).  The script exits nonzero when any
+regime exceeds the budget of 2e-11.
 
 Do not tune these per call site.  They encode a global accuracy budget:
 
@@ -64,13 +65,13 @@ POSITIVE_SERIES_DIGITS_CAP = 280.0
 # exp() overflow threshold for the exponential asymptotic form
 EXP_ARG_MAX = 709.0
 
-# integral route: truncation radius and quadrature targets
-INTEGRAL_BASE_RADIUS = 42.0
+# integral route: quadrature targets
 INTEGRAL_EPSREL = 1e-12
 INTEGRAL_LIMIT = 400
 
-# above this alpha the integral route subtracts the pole of the spectral
-# denominator (_integral_pinched): its pinch near r = x^(1/alpha) is then
+# above this alpha the integral route subtracts the complex pole of the
+# spectral denominator on a window around u0 = x cos(pi (1 - alpha)):
+# the Lorentzian there, of width about pi (1 - alpha) x, is then
 # narrower than adaptive quadrature resolves to INTEGRAL_EPSREL
 INTEGRAL_PINCH_ALPHA = 0.999
 

@@ -9,19 +9,25 @@ regimes on the negative axis:
   cancellation stays within a ~5 digit budget,
 * algebraic asymptotic expansion, truncated at its smallest term, once
   |z| is large and the truncation estimate clears 1e-13,
-* otherwise a real integral representation
+* otherwise a real spectral integral, written in u = r^alpha,
 
-      E_{a,b}(-x) = (1/pi) * int_0^inf exp(-r) r^(a-b)
-                    * [r^a sin(pi b) + x sin(pi (b-a))]
-                    / (r^(2a) + 2 x r^a cos(pi a) + x^2) dr
+      E_{a,b}(-x) = (1/(pi a)) * int_0^inf exp(-u^(1/a)) u^((1-b)/a)
+                    * [u sin(pi b) + x sin(pi (b-a))]
+                    / ((u - u0)^2 + h^2) du,
+      u0 + i h = x e^{i pi (1-a)},
 
-  valid for 0 < a < 1, 0 < b <= a + 1, x > 0; larger beta is reached by
-  the upward recurrence E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z.
+  valid for 0 < a < 1, 0 < b <= a + 1, x > 0.  The denominator peaks at
+  u0 with width h; above INTEGRAL_PINCH_ALPHA that peak is too narrow
+  for adaptive quadrature, and the complex pole is subtracted on a
+  window around u0 and added back in closed form.  Larger beta is
+  reached by the upward recurrence
+  E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z.
 
-alpha = 1 uses exact exponential forms.  Positive arguments are
-supported through the series and the exponential asymptotic
-E ~ (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)); values overflow to
-inf where the true result exceeds the double range.
+alpha = 1 uses exp(z) at beta = 1, otherwise the series, its Kummer
+transform on the negative axis and the asymptotic forms.  Positive
+arguments are supported through the series and the exponential
+asymptotic E ~ (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)); values
+overflow to inf where the true result exceeds the double range.
 
 Also here: the weighted kernel h(x) = x^(gamma_w - 1) E_{alpha,beta}
 (-lam x^alpha) and the parameter test for its complete monotonicity
@@ -237,156 +243,41 @@ def _asymptotic(alpha, beta, z):
     return total, env[cut] / abs(total)
 
 
-def _integral_core(alpha, beta, x):
-    """Adaptive quadrature of the spectral representation.
+def _spectral(alpha, beta, x):
+    """E_{alpha,beta}(-x) from its spectral integral, 0 < alpha < 1.
 
-    Preconditions: 0 < alpha < 1, 0 < beta <= alpha + 1 (+slack), x > 0.
-    Writing D(r) = r^2a + 2 x r^a cos(pi a) + x^2 and
-    J(e) = int_0^inf r^e exp(-r)/D dr, the value is
-
-        E = [sin(pi b) J(2a-b) + x sin(pi(b-a)) J(a-b)] / pi.
-
-    J(e) is singular as e -> -1; for delta = e + 1 below 0.35 it is
-    computed in the subtracted form
-
-        J(e) = g(0)/delta + int_0^1 r^(delta-1) (g(r)-g(0)) dr
-                           + int_1^inf r^(delta-1) g(r) dr,
-
-    g(r) = exp(-r)/D(r), which stays finite as delta -> 0 because the
-    sin factor in front vanishes at the same rate (their ratio tends to
-    pi; the limit reproduces the Hankel-circle residue that the plain
-    collapsed contour loses exactly at b = a + 1).
-    """
-    from scipy.integrate import quad
-
-    ca = math.cos(math.pi * alpha)
-    x2 = x * x
-    twoxc = 2.0 * x * ca
-    g0 = 1.0 / x2
-
-    def g(r):
-        ra = r**alpha
-        return math.exp(-r) / (ra * ra + twoxc * ra + x2)
-
-    r0 = None
-    radius = C.INTEGRAL_BASE_RADIUS
-    if ca < 0.0:
-        # denominator can pinch near r = x^(1/alpha)
-        try:
-            r_peak = x ** (1.0 / alpha)
-        except OverflowError:
-            r_peak = math.inf
-        if r_peak < 80.0:
-            r0 = r_peak
-            radius = max(radius, r_peak + 35.0)
-
-    def _quad(f, lo, hi, pts):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, _err = quad(
-                f,
-                lo,
-                hi,
-                points=pts,
-                limit=C.INTEGRAL_LIMIT,
-                epsabs=0.0,
-                epsrel=C.INTEGRAL_EPSREL,
-            )
-        return val
-
-    def J_direct(e):
-        # delta = e + 1 >= 0.35 here, so the substitution power is <= 8
-        q = 1 if e >= 0.0 else math.ceil(2.5 / (1.0 + e))
-        qf = float(q)
-
-        def f(v):
-            r = v**qf
-            return qf * v ** (qf * (1.0 + e) - 1.0) * g(r)
-
-        pts = None
-        if r0 is not None and r0 < radius:
-            pts = [r0 ** (1.0 / qf)]
-        return _quad(f, 0.0, radius ** (1.0 / qf), pts)
-
-    def J_split(delta):
-        # returns (pole, regular) with J = pole/delta + regular
-        q = max(1, min(60, math.ceil(2.5 / (delta + alpha))))
-        qf = float(q)
-
-        def f_inner(v):
-            r = v**qf
-            return qf * v ** (qf * delta - 1.0) * (g(r) - g0)
-
-        pts_in = [r0 ** (1.0 / qf)] if (r0 is not None and r0 < 1.0) else None
-        inner = _quad(f_inner, 0.0, 1.0, pts_in)
-
-        def f_tail(r):
-            return r ** (delta - 1.0) * g(r)
-
-        pts_tail = [r0] if (r0 is not None and 1.0 < r0 < radius) else None
-        tail = _quad(f_tail, 1.0, radius, pts_tail)
-        return g0, inner + tail
-
-    total = 0.0
-
-    # piece with weight r^(2a-b), coefficient sin(pi b)
-    sb = _sinpi(beta)
-    if sb != 0.0:
-        d2 = 1.0 + 2.0 * alpha - beta
-        if d2 >= 0.35:
-            total += sb * J_direct(2.0 * alpha - beta)
-        else:
-            pole, reg = J_split(d2)
-            total += sb * (pole / d2 + reg)
-
-    # piece with weight r^(a-b), coefficient x sin(pi(b-a)); near
-    # b = a + 1 the 1/delta pole cancels against sin(pi delta)
-    d1 = 1.0 + alpha - beta
-    if d1 >= 0.35:
-        sba = _sinpi(beta - alpha)
-        if sba != 0.0:
-            total += x * sba * J_direct(alpha - beta)
-    else:
-        pole, reg = J_split(d1)
-        s1 = math.sin(math.pi * d1)
-        ratio = math.pi if abs(d1) < 1e-8 else s1 / d1
-        total += x * (ratio * pole + s1 * reg)
-
-    return total / math.pi
-
-
-def _integral_pinched(alpha, beta, x):
-    """E_{alpha,beta}(-x) from the spectral integral with its pinch taken out.
-
-    In u = r^alpha the representation of _integral_core reads
+    In u = r^alpha the representation reads
 
         E = (1/pi) int_0^inf psi(u) (u sin(pi b) + x sin(pi(b-a))) / D du,
         psi(u) = exp(-u^(1/a)) u^p / a,  p = (1-b)/a,
         D = (u - u0)^2 + h^2,  u0 + i h = w = x e^{i pi (1-a)}.
 
-    As alpha -> 1 the Lorentzian 1/D narrows to a width h ~ pi (1-a) x
-    that adaptive quadrature does not resolve to 1e-12: at alpha = 0.9999
-    _integral_core is off by up to 1e-9, and the Chebyshev interpolant
-    built on it never passes its spot checks.  Because
-    sin(pi b) w + x sin(pi(b-a)) = -x sin(pi a) e^{-i pi b}, the integral
-    equals -(1/pi) Im[e^{-i pi b} int psi(u) / (u - w) du], whose pole w
-    sits h above the axis.  On the window [u1, u2] = [u0/2, 2 u0] the
-    pole is subtracted,
+    For alpha > 1/2 the Lorentzian 1/D peaks at u0 > 0 with width h;
+    past the cut c below, u0 is a quadrature breakpoint.  As alpha -> 1, h ~
+    pi (1-a) x becomes narrower than adaptive quadrature resolves to
+    1e-12, so above INTEGRAL_PINCH_ALPHA the pole is taken out.
+    Because sin(pi b) w + x sin(pi(b-a)) = -x sin(pi a) e^{-i pi b}, the
+    integral equals -(1/pi) Im[e^{-i pi b} int psi(u) / (u - w) du],
+    whose pole w sits h above the axis.  On the window [u1, u2] =
+    [u0/2, 2 u0] it is subtracted,
 
         int psi/(u-w) = int (psi(u) - psi(w))/(u-w) du + psi(w) log((u2-w)/(u1-w)),
 
     which leaves a smooth integrand.  Elsewhere the real form above is
     integrated as it stands, so its small factors sin(pi b) and
-    sin(pi(b-a)) stay explicit.  On [0, c], c = min(1, u0/2), the
-    constant part of the integrand at u = 0 is integrated in closed form
-    against u^p, which keeps the pole of u^p at beta = alpha + 1 finite
-    (the same cancellation J_split handles), and the rest goes to QAWS
-    with the weight u^(p+1).
+    sin(pi(b-a)) stay explicit.  On [0, c] the constant part of the
+    integrand at u = 0 is integrated in closed form against u^p, which
+    keeps the pole of u^p at beta = alpha + 1 finite (its 1/delta
+    cancels against sin(pi(b-a)) = sin(pi delta)), and the rest goes to
+    QAWS with the weight u^(p+1).  c = min(1, u0/2) with the window and
+    c = 1 without: near alpha = 1/2, u0 is rounding dust, and a cut at
+    u0/2 would leave the u^p singularity to the plain quadrature.
 
-    Preconditions: 2/3 < alpha < 1, 0 < beta <= alpha + 1 (+slack), x > 0.
-    Below alpha = 2/3, |psi(w)| grows like exp(x^(1/a) |cos(pi (1-a)/a)|)
-    and the subtraction cancels catastrophically; _integral takes this
-    route only above INTEGRAL_PINCH_ALPHA.
+    The window needs alpha > 2/3: below, |psi(w)| grows like
+    exp(x^(1/a) |cos(pi (1-a)/a)|) and the subtraction cancels
+    catastrophically.
+
+    Preconditions: 0 < alpha < 1, 0 < beta <= alpha + 1 (+slack), x > 0.
     """
     from scipy.integrate import quad
 
@@ -427,27 +318,30 @@ def _integral_pinched(alpha, beta, x):
             )
         return val
 
+    pinched = alpha > C.INTEGRAL_PINCH_ALPHA
     u1 = 0.5 * u0
     u2 = 2.0 * u0
-    c = min(1.0, u1)
+    c = min(1.0, u1) if pinched else 1.0
     total = _quad(near_zero, 0.0, c, weight="alg", wvar=(dp, 0.0))
-    if u1 > c:
-        total += _quad(direct, c, u1)
+    if pinched:
+        if u1 > c:
+            total += _quad(direct, c, u1)
+        w = complex(u0, h)
+        pw = cmath.exp(-(w**ia)) * w**p / alpha
+        pr = pw.real
+        pim = pw.imag
 
-    w = complex(u0, h)
-    pw = cmath.exp(-(w**ia)) * w**p / alpha
-    pr = pw.real
-    pim = pw.imag
+        def window(u):
+            d = u - u0
+            return ((psi(u) - pr) * (sb * d - cb * h) + pim * (sb * h + cb * d)) / den(u)
 
-    def window(u):
-        d = u - u0
-        return ((psi(u) - pr) * (sb * d - cb * h) + pim * (sb * h + cb * d)) / den(u)
-
-    total += _quad(window, u1, u2, points=[u0])
-    lr = 0.5 * math.log(den(u2) / den(u1))
-    li = math.pi - math.atan(h / (u2 - u0)) - math.atan(h / (u0 - u1))
-    total += sb * (pr * lr - pim * li) - cb * (pr * li + pim * lr)
-    total += _quad(direct, u2, math.inf)
+        total += _quad(window, u1, u2, points=[u0])
+        lr = 0.5 * math.log(den(u2) / den(u1))
+        li = math.pi - math.atan(h / (u2 - u0)) - math.atan(h / (u0 - u1))
+        total += sb * (pr * lr - pim * li) - cb * (pr * li + pim * lr)
+    elif u2 > c:
+        total += _quad(direct, c, u2, points=[u0] if u0 > c else None)
+    total += _quad(direct, max(c, u2), math.inf)
 
     # int_0^c u^p phi(0) du = sin(pi(b-a)) c^dp / (x delta), where
     # sin(pi(b-a)) = sin(pi delta) -> 0 with delta
@@ -457,12 +351,11 @@ def _integral_pinched(alpha, beta, x):
 
 def _integral(alpha, beta, x):
     """E_{alpha,beta}(-x) by the integral route, any beta > 0."""
-    core = _integral_pinched if alpha > C.INTEGRAL_PINCH_ALPHA else _integral_core
     if beta <= alpha + 1.0 + 1e-12:
-        return core(alpha, beta, x)
+        return _spectral(alpha, beta, x)
     m = math.ceil((beta - 1.0) / alpha - 1e-12)
     b = beta - m * alpha
-    v = core(alpha, b, x)
+    v = _spectral(alpha, b, x)
     z = -x
     for _ in range(m):
         v = (v - reciprocal_gamma(b)) / z
@@ -471,7 +364,7 @@ def _integral(alpha, beta, x):
 
 
 def _alpha_one(beta, z):
-    """Exact exponential family E_{1,beta}."""
+    """E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta), exp(z) at beta = 1."""
     if beta == 1.0:
         try:
             return math.exp(z), "closed-form"
@@ -480,15 +373,6 @@ def _alpha_one(beta, z):
     if abs(z) <= C.ALPHA_ONE_SERIES_ABS_Z:
         v, okc, _ = _series(1.0, beta, z)
         return v, "series"
-    if float(beta).is_integer() and beta <= 20.0:
-        m = int(beta)
-        # E_{1,m}(z) = z^(1-m) (e^z - sum_{j<=m-2} z^j/j!)
-        partial = math.fsum(z**j / math.gamma(j + 1.0) for j in range(m - 1))
-        try:
-            ez = math.exp(z)
-        except OverflowError:
-            ez = math.inf
-        return (ez - partial) * z ** (1 - m), "closed-form"
     if z > 0.0:
         if z <= C.ALPHA_ONE_ASYM_ABS_Z:
             v, okc, _ = _series(1.0, beta, z)
@@ -704,9 +588,8 @@ def _alpha_one_batch(beta, z):
     """_alpha_one over an array of z, branch by branch.
 
     Values can differ from the scalar route in the last few bits:
-    np.exp and np.log replace math.exp and math.log, and the partial sum
-    at integer beta is compensated rather than exactly rounded (fsum).
-    The series and Kummer sums are the scalar's.
+    np.exp and np.log replace math.exp and math.log.  The series and
+    Kummer sums are the scalar's.
     """
     z = np.asarray(z, dtype=float)
     if beta == 1.0:
@@ -717,17 +600,6 @@ def _alpha_one_batch(beta, z):
     if small.any():
         out[small] = _series_batch(1.0, beta, z[small])[0]
     big = ~small
-    if float(beta).is_integer() and beta <= 20.0:
-        m = int(beta)
-        zb = z[big]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # E_{1,m}(z) = z^(1-m) (e^z - sum_{j<=m-2} z^j/j!)
-            partial = np.zeros_like(zb)
-            comp = np.zeros_like(zb)
-            for j in range(m - 1):
-                partial, comp = _neumaier_batch(partial, comp, zb**j / math.gamma(j + 1.0))
-            out[big] = (np.exp(zb) - (partial + comp)) * zb ** (1 - m)
-        return out
     grow = big & (z > 0.0) & (z <= C.ALPHA_ONE_ASYM_ABS_Z)
     if grow.any():
         out[grow] = _series_batch(1.0, beta, z[grow])[0]
@@ -790,9 +662,9 @@ def eval_ml_many(alpha: float, beta: float, z) -> np.ndarray:
     served for all of its points at once:
 
     * alpha = 1: the exact exponential forms of _alpha_one, branch by
-      branch (np.exp at beta = 1, the series sweep for |z| <= 7, the
-      closed form at integer beta, a masked Kummer sweep on [-600, -7)
-      and the batched asymptotic below it);
+      branch (np.exp at beta = 1, the series sweep for |z| <= 7 and for
+      growth up to 600, a masked Kummer sweep on [-600, -7) and the
+      batched asymptotic below it);
     * the series band: one vectorised sweep, the same sums as the scalar
       series;
     * negative points left over with |z| >= ASYM_MIN_ABS_Z: the batched

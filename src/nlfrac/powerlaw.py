@@ -38,7 +38,6 @@ __all__ = [
     "weak_derivative",
     "nth_level_derivative",
     "projector_apply",
-    "evaluate",
 ]
 
 # coefficients smaller than this are treated as exact zeros when
@@ -260,8 +259,3 @@ def projector_apply(spec: DerivativeSpec, f: PowerSum) -> ProjectorCoeffs:
         a[k - 2] = w.value_at_zero()
     p = tuple(a[k] * reciprocal_gamma(sigma[k] + 1.0) for k in range(spec.n))
     return ProjectorCoeffs(p=p, sigma=sigma)
-
-
-def evaluate(f: PowerSum, x: float) -> float:
-    """Module-level alias for PowerSum.evaluate."""
-    return f.evaluate(x)

@@ -13,8 +13,10 @@ exponent) assemble it once.  Successive substitution then
 converges like a Mittag-Leffler series in lambda x^alpha even when the
 naive contraction constant exceeds one.
 
-The right-hand side is called vectorized on the full node set.  Scalar
-callables are detected once and wrapped.
+The right-hand side is called vectorized on the full node set.  A
+callable that raises TypeError or ValueError there, or returns the wrong
+shape, is evaluated point by point instead; the vectorized call is
+retried on every iteration.
 """
 
 from __future__ import annotations

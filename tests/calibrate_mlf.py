@@ -5,6 +5,9 @@ in nlfrac/mlconstants.py:
 
     python3 tests/calibrate_mlf.py
 
+Exits with status 1 when any regime's worst relative error exceeds the
+2e-11 budget that mlconstants documents.
+
 Reference values come from mpmath: the defining series at adaptive
 precision wherever the needed precision is modest, otherwise numerical
 inversion (Talbot) of the transform s^(alpha-beta)/(s^alpha + x), which
@@ -14,11 +17,15 @@ the test suite.
 """
 
 import math
+import sys
 import time
 
 import mpmath as mp
 
 from nlfrac.mlf import MLQuery, eval_ml_info
+
+# per-regime budget for the worst relative error
+WORST_REL_BUDGET = 2e-11
 
 
 def oracle(alpha, beta, z):
@@ -93,9 +100,16 @@ def main():
                 if key not in worst or rel > worst[key][0]:
                     worst[key] = (rel, alpha, beta, z)
     print(f"{nchecked} points in {time.time() - t0:.1f}s")
+    over = []
     for regime, (rel, alpha, beta, z) in sorted(worst.items()):
         print(f"  {regime:<11s} worst rel {rel:.3e} at alpha={alpha} beta={beta} z={z}")
+        if not rel <= WORST_REL_BUDGET:
+            over.append(regime)
+    if over:
+        print(f"over the {WORST_REL_BUDGET:g} budget: {', '.join(over)}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

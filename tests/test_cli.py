@@ -120,6 +120,22 @@ def test_picard_exhaustion_exits_two_but_writes(tmp_path):
     assert log["converged"] is False
 
 
+def test_seed_and_tol_only_where_used(tmp_path, capsys):
+    solve = ["solve", "--alpha", "0.6", "--gamma", "0.4,0.6",
+             "--lambda", "1.0", "--init", "1.0,1.0"]
+    assert run([*solve, "--tol", "1e-3"]) == 1
+    assert run([*solve, "--seed", "3"]) == 1
+    assert run(["mlf", "--alpha", "0.5", "--beta", "1.0", "--z", "-2.0", "--tol", "1e-3"]) == 1
+    out = tmp_path / "p.csv"
+    picard = ["picard", "--alpha", "0.6", "--gamma", "0.4,0.6", "--rhs", "linear:-1.0",
+              "--init", "1.0,1.0", "--max-iter", "1", "--out", str(out)]
+    assert run([*picard, "--seed", "3"]) == 1
+    assert not out.exists()
+    # without --tol, picard records its default stopping tolerance
+    assert run(picard) == 2
+    assert json.loads((tmp_path / "p.json").read_text())["tol"] == 1e-8
+
+
 def test_picard_unknown_rhs(capsys):
     rc = run(["picard", "--alpha", "0.6", "--gamma", "0.4,0.6",
               "--rhs", "cubic:1.0", "--init", "1.0,1.0"])

@@ -225,6 +225,17 @@ def test_alpha_one_growth_against_hypergeometric(b, z):
     assert eval_ml_many(1.0, b, np.array([z]))[0] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [-1e17, -1e20])
+def test_alpha_one_integer_beta_far_out(z):
+    # integer beta takes the same branches as any other beta; a closed
+    # form z^(1-m) (e^z - partial sum) overflowed or lost digits here
+    with mp.workdps(40):
+        want = float(mp.hyp1f1(1, 20, z) / mp.gamma(20))
+    # abs=0: the values are near 1e-33, far below approx's default abs
+    assert eval_ml(MLQuery(1.0, 20.0, z)) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert eval_ml_many(1.0, 20.0, np.array([z]))[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def _transform_oracle(a, b, x):
     """E_{a,b}(-x) by Talbot inversion of s^(a-b) / (s^a + x) at t = 1."""
     with mp.workdps(40):
@@ -244,15 +255,31 @@ def test_integral_near_alpha_one_against_transform(a, db, x):
     assert mlf._integral(a, b, x) == pytest.approx(_transform_oracle(a, b, x), rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.7, 0.95, 0.99])
+def test_integral_against_oracle(a):
+    # beta = alpha and beta -> alpha + 1 are the cancellation edges of the
+    # spectral representation; the series oracle is used where its
+    # cancellation stays well inside its 80 digits
+    for b in (a, 1.0, a + 1.0 - 1e-6, a + 1.0):
+        for x in (0.7, 4.0, 30.0):
+            if 0.4343 * x ** (1.0 / a) <= 20.0:
+                want = _series_oracle(a, b, -x)
+            else:
+                want = _transform_oracle(a, b, x)
+            assert mlf._integral(a, b, x) == pytest.approx(want, rel=1e-11, abs=0.0), (b, x)
+
+
 @pytest.mark.parametrize("a", [0.7, 0.8, 0.95, 0.99])
 @pytest.mark.parametrize("b", [0.2, 1.0, 1.5])
-def test_pinched_route_matches_plain_route(a, b):
+def test_pinched_route_matches_plain_route(monkeypatch, a, b):
     # where the pinch is wide the plain quadrature resolves it too; below
-    # alpha = 2/3 psi(w) grows with x and the pinched route does not apply
+    # alpha = 2/3 psi(w) grows with x and the pole subtraction does not apply
     b = min(b, a + 1.0)
-    for x in (0.7, 4.0, 30.0):
-        assert mlf._integral_pinched(a, b, x) == pytest.approx(
-            mlf._integral_core(a, b, x), rel=1e-11)
+    xs = (0.7, 4.0, 30.0)
+    plain = [mlf._integral(a, b, x) for x in xs]
+    monkeypatch.setattr(mlconstants, "INTEGRAL_PINCH_ALPHA", 0.5)
+    for x, want in zip(xs, plain):
+        assert mlf._integral(a, b, x) == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def test_many_near_alpha_one_is_accurate_and_uses_an_interpolant():
