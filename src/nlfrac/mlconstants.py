@@ -9,7 +9,7 @@ transform inversion where the series needs infeasible precision,
 cross-checked on alpha = 1/2 against scipy.special.erfcx); the sweep
 script is tests/calibrate_mlf.py.  On its 1520-point grid (alpha in
 [0.05, 1], |z| <= 1e5, beta <= 2.5) the worst relative errors with these
-settings are 1.0e-11 (asymptotic), 9.6e-12 (series), 3.8e-12 (integral)
+settings are 1.0e-11 (asymptotic), 3.2e-12 (series), 3.8e-12 (integral)
 and 1.3e-15 (alpha = 1 closed forms).  The script exits nonzero when any
 regime exceeds the budget of 2e-11.
 
@@ -26,9 +26,11 @@ Do not tune these per call site.  They encode a global accuracy budget:
 
 # series is attempted when the predicted cancellation (decimal digits,
 # 0.4343 * |z|**(1/alpha)) stays below this budget.  The limiting error
-# is not the accumulator: forming the argument alpha*k + beta in double
-# rounds the peak terms by ~2e-15 relative (digamma times one ulp), so
-# usable budgets stop near 3 digits even with exact summation
+# is not the accumulator but the terms: forming the argument
+# alpha*k + beta in double rounds the peak terms by ~2e-15 relative
+# (digamma times one ulp), which the series corrects to first order,
+# and Gamma itself is rounded, so usable budgets stop near 3 digits
+# even with exact summation
 SERIES_PREDICTED_DIGITS_CAP = 3.0
 
 # after summing, the realised cancellation log10(max |term| / |sum|)
@@ -76,7 +78,7 @@ INTEGRAL_LIMIT = 400
 INTEGRAL_PINCH_ALPHA = 0.999
 
 # batched evaluation: minimum number of integral-regime points worth
-# serving from a Chebyshev interpolant in log|z| (built from scalar
+# serving from a Chebyshev interpolant in log|z| (built from per-point
 # quadratures and spot-checked against them), plus its controls
 BATCH_QUAD_MIN_POINTS = 40
 CHEB_MAX_NODES = 257

@@ -1,11 +1,13 @@
 """Two-parameter Mittag-Leffler function on the real line.
 
 E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha k + beta) for
-0 < alpha <= 1, beta > 0.  The evaluator targets relative error 1e-10
-for real z with |z| <= 1e5 and alpha >= 0.05, switching between three
-regimes on the negative axis:
+0 < alpha <= 1, beta > 0.  There is one evaluator, over arrays of z:
+eval_ml and eval_ml_info evaluate a batch of one point, and every
+point comes back with the regime that produced it.  The evaluator
+targets relative error 1e-10 for real z with |z| <= 1e5 and
+alpha >= 0.05, switching between three regimes on the negative axis:
 
-* power series with compensated (Neumaier) summation while predicted
+* power series with compensated summation while predicted
   cancellation stays within a ~5 digit budget,
 * algebraic asymptotic expansion, truncated at its smallest term, once
   |z| is large and the truncation estimate clears 1e-13,
@@ -25,9 +27,16 @@ regimes on the negative axis:
 
 alpha = 1 uses exp(z) at beta = 1, otherwise the series, its Kummer
 transform on the negative axis and the asymptotic forms.  Positive
-arguments are supported through the series and the exponential
-asymptotic E ~ (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)); values
-overflow to inf where the true result exceeds the double range.
+arguments take the series where it converges and the exponential
+asymptotic E ~ (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)) beyond;
+values overflow to inf where the true result exceeds the double range.
+
+The series and Kummer sums build their terms as a (terms x points)
+table: running products by np.cumprod, each point's stopping rule
+from running maxima or sums along the term axis, and one pairwise
+compensated sum.  The table length comes from the log-magnitudes of
+the terms at the largest argument, and points are taken in blocks so
+that the working set stays small for any batch.
 
 Also here: the weighted kernel h(x) = x^(gamma_w - 1) E_{alpha,beta}
 (-lam x^alpha) and the parameter test for its complete monotonicity
@@ -42,14 +51,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma, gammaln
 
 from . import mlconstants as C
-from .errors import EvaluationAtZeroUndefinedError, NonConvergenceError, ParameterOutOfRangeError
+from .errors import EvaluationAtZeroUndefinedError, ParameterOutOfRangeError
 
 __all__ = [
     "MLQuery",
     "CMWeightedParams",
-    "gamma_fn",
     "reciprocal_gamma",
     "eval_ml",
     "eval_ml_info",
@@ -61,23 +70,9 @@ __all__ = [
 
 _LOG10E = 0.4342944819032518
 
-
-def gamma_fn(x: float) -> float:
-    """Gamma function; raises ParameterOutOfRangeError at the poles.
-
-    Overflow (x > ~171.6) returns inf with the sign of the limit.
-    """
-    x = float(x)
-    if math.isnan(x):
-        raise ParameterOutOfRangeError("gamma_fn: argument is NaN")
-    if x <= 0.0 and x == math.floor(x):
-        raise ParameterOutOfRangeError(
-            f"gamma_fn: pole at nonpositive integer {x:g}"
-        )
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        return math.inf
+# regime codes of _evaluate, indexing their labels
+_SERIES, _ASYMPTOTIC, _INTEGRAL, _CLOSED_FORM = range(4)
+_REGIME_LABELS = ("series", "asymptotic", "integral", "closed-form")
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -159,88 +154,224 @@ class CMWeightedParams:
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation
+# term tables
 
-def _neumaier_add(s, c, t):
-    u = s + t
-    if abs(s) >= abs(t):
-        c += (s - u) + t
-    else:
-        c += (t - u) + s
-    return u, c
+def _table_rows(stops, cap):
+    """Rows a term table needs to reach a sum's stopping point.
+
+    stops(k) estimates, for rows k = 0, 1, ..., whether the stopping
+    rule holds there, from the log-magnitudes of the terms at the
+    largest argument the table serves.  The estimate grows fourfold
+    until a row past the first meets the rule; one more row absorbs
+    its rounding.  At most cap rows.
+    """
+    n = 32
+    while True:
+        hit = np.flatnonzero(stops(np.arange(min(n, cap)))[1:])
+        if hit.size:
+            return min(int(hit[0]) + 3, cap)
+        if n >= cap:
+            return cap
+        n *= 4
 
 
-def _series(alpha, beta, z):
-    """Defining series with compensated summation.
+def _by_blocks(x, rows_at, sweep):
+    """sweep(x_block, rows) over blocks of x, largest magnitude first.
 
-    Returns (value, converged, realised cancellation digits).  At
-    alpha = 1 the term itself is carried by the ratio
+    A block's table length rows_at(r) comes from its largest magnitude
+    r; a sum at a smaller argument stops no later.  Each block holds
+    about 2^14 table cells (128 kB per array), which bounds the working
+    set whatever the batch and keeps it in cache: on a 2-core Xeon,
+    2^16-cell blocks made 1500-point sweeps 1.5 to 2 times slower.
+    sweep returns a tuple of per-point arrays.
+    """
+    cells = 1 << 14
+    order = np.argsort(-np.abs(x), kind="stable")
+    outs = None
+    start = 0
+    while start < x.size:
+        rows = rows_at(abs(float(x[order[start]])))
+        blk = order[start : start + max(1, cells // rows)]
+        res = sweep(x[blk], rows)
+        if outs is None:
+            outs = [np.empty(x.size, dtype=r.dtype) for r in res]
+        for o, r in zip(outs, res):
+            o[blk] = r
+        start += blk.size
+    return outs
+
+
+def _compensated_sum(t):
+    """Sum of the rows of t by a pairwise TwoSum tree; overwrites t.
+
+    Each level adds the lower half of the rows to the upper half and
+    keeps the exact rounding error of every addition.  The errors are
+    summed along the same tree and added once at the end.
+    """
+    c = np.zeros_like(t)
+    n = t.shape[0]
+    while n > 1:
+        h = n // 2
+        m = n - h
+        a = t[:h]
+        b = t[m:n]
+        u = a + b
+        v = u - a
+        c[:h] += c[m:n] + ((a - (u - v)) + (b - v))
+        t[:h] = u
+        n = m
+    return t[0] + c[0]
+
+
+def _series_batch(alpha, beta, z):
+    """Defining series at each point, with compensated summation.
+
+    Returns (values, converged, realised cancellation digits).  A sum
+    ends at the first term k >= 1 with |t_k| <= SERIES_TAIL_REL
+    max_{j<=k} |t_j|.  It has not converged when no term within
+    SERIES_MAX_TERMS meets that, or when a term overflows first; its
+    value is then nan.  At alpha = 1 the term is carried by the ratio
     t_{k+1} = t_k z / (beta + k): z^k alone overflows near k = 134 at
     z = 200, long before the terms peak at k ~ z.
     """
     ratio = alpha == 1.0
-    s = 0.0
-    c = 0.0
-    p = reciprocal_gamma(beta) if ratio else 1.0
-    maxt = 0.0
-    converged = False
-    for k in range(C.SERIES_MAX_TERMS):
-        t = p if ratio else p * reciprocal_gamma(alpha * k + beta)
-        s, c = _neumaier_add(s, c, t)
-        at = abs(t)
-        if at > maxt:
-            maxt = at
-        if k >= 1 and at <= C.SERIES_TAIL_REL * (maxt if maxt > 0.0 else 1.0):
-            converged = True
-            break
-        p = p * z / (beta + k) if ratio else p * z
-        if not math.isfinite(p):
-            break
-    total = s + c
-    if maxt == 0.0 or total == 0.0:
-        digits = 0.0 if maxt == 0.0 else math.inf
-    else:
-        digits = max(0.0, math.log10(maxt / abs(total)))
-    return total, converged, digits
+    log_tail = math.log(C.SERIES_TAIL_REL)
+
+    def rows_at(r):
+        def stops(k):
+            lt = k * math.log(r) - gammaln(alpha * k + beta)
+            return lt <= np.maximum.accumulate(lt) + log_tail
+
+        return _table_rows(stops, C.SERIES_MAX_TERMS)
+
+    if not ratio:
+        k = np.arange(rows_at(float(np.max(np.abs(z)))), dtype=float)
+        x = alpha * k + beta
+        coef = np.array([reciprocal_gamma(v) for v in x])
+        # x rounds alpha k + beta by up to ulp(x), which moves 1/Gamma by
+        # digamma(x) ulp(x) relative, and cancellation magnifies that; undo
+        # it to first order with the exact residual r = alpha k + beta - x
+        # (Dekker's split makes hi k and (alpha - hi) k exact)
+        hi = 134217729.0 * alpha
+        hi -= hi - alpha
+        ak = alpha * k
+        s = x - ak
+        r = ((hi * k - ak) + (alpha - hi) * k) + ((ak - (x - s)) + (beta - s))
+        coef = (coef * (1.0 - digamma(x) * r))[:, None]
+
+    def sweep(zb, rows):
+        t = np.empty((rows, zb.size))
+        if ratio:
+            t[0] = reciprocal_gamma(beta)
+            t[1:] = zb / (beta + np.arange(rows - 1.0))[:, None]
+            np.cumprod(t, axis=0, out=t)
+        else:
+            t[0] = 1.0
+            t[1:] = zb
+            np.cumprod(t, axis=0, out=t)
+            t *= coef[:rows]
+        at = np.abs(t)
+        peak = np.maximum.accumulate(at, axis=0)
+        hit = (at <= C.SERIES_TAIL_REL * peak) & np.logical_and.accumulate(np.isfinite(t), axis=0)
+        hit[0] = False
+        converged = hit.any(axis=0)
+        last = hit.argmax(axis=0)
+        t[np.arange(rows)[:, None] > last] = 0.0
+        total = np.where(converged, _compensated_sum(t), np.nan)
+        maxt = peak[last, np.arange(zb.size)]
+        digits = np.where(
+            (maxt > 0.0) & (total != 0.0),
+            np.log10(np.maximum(maxt / np.maximum(np.abs(total), 1e-300), 1.0)),
+            np.where(maxt > 0.0, np.inf, 0.0),
+        )
+        return total, converged, digits
+
+    # past-the-table powers overflow and meet zero coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _by_blocks(z, rows_at, sweep)
 
 
-def _asymptotic(alpha, beta, z):
+def _kummer_batch(beta, x):
+    """E_{1,beta}(-x) for x in (ALPHA_ONE_SERIES_ABS_Z, ALPHA_ONE_ASYM_ABS_Z].
+
+    Kummer transform: E_{1,b}(-x) = e^-x [1 + (b-1) S] / Gamma(b),
+    S = sum_{k>=1} t_k, t_k = q_k / (b+k-1), q_k = x^k / k!, all terms
+    one sign.  A point's sum ends at the first k with t_k < 1e-18 S_k
+    and q_k < 1e-18 max(1, S_k), S_k its running sum.
+    """
+    tiny = 1e-18
+    log_tiny = math.log(tiny)
+
+    def rows_at(r):
+        def stops(i):
+            k = i + 1.0
+            lq = k * math.log(r) - gammaln(k + 1.0)
+            lt = lq - np.log(beta + k - 1.0)
+            ls = np.logaddexp.accumulate(lt)
+            return (lt < log_tiny + ls) & (lq < log_tiny + np.maximum(ls, 0.0))
+
+        return _table_rows(stops, math.inf)
+
+    def sweep(xb, rows):
+        k = np.arange(1.0, rows + 1.0)[:, None]
+        q = np.cumprod(xb / k, axis=0)
+        t = q / (beta + k - 1.0)
+        s = np.cumsum(t, axis=0)
+        hit = (t < tiny * s) & (q < tiny * np.maximum(1.0, s))
+        last = np.where(hit.any(axis=0), hit.argmax(axis=0), rows - 1)
+        t[k - 1.0 > last] = 0.0
+        return (_compensated_sum(t),)
+
+    (sums,) = _by_blocks(x, rows_at, sweep)
+    return np.exp(-x) * (1.0 + (beta - 1.0) * sums) * reciprocal_gamma(beta)
+
+
+def _asymptotic_batch(alpha, beta, z):
     """Algebraic expansion -sum_{j>=1} z^-j / Gamma(beta - j alpha).
 
     Truncated where the two-term envelope max(|t_j|, |t_j+1|) is
-    smallest; returns (value, estimated relative truncation error).
+    smallest; returns (values, estimated relative truncation errors).
     Individual |t_j| are useless for locating the optimal cut: whenever
     beta - j alpha falls within rounding distance of a Gamma pole the
     term dips to ~1e-20 of its neighbours, and treating that dip as
     convergence silently drops the rest of the tail.
+
+    The coefficients -1/Gamma(beta - j alpha) are formed once, and the
+    terms of all points are built in a (terms x points) table.  A
+    point's terms stop at the first p = z^-j that is zero or not
+    finite, or the first term that is not finite.  The retained terms
+    are summed in order with Neumaier's compensation.
     """
-    zi = 1.0 / z
-    p = 1.0
-    terms = []
-    for j in range(1, C.ASYM_MAX_TERMS + 1):
-        p *= zi
-        if p == 0.0 or not math.isfinite(p):
-            break
-        t = -p * reciprocal_gamma(beta - j * alpha)
-        if not math.isfinite(t):
-            break
-        terms.append(t)
-    if not terms:
-        return 0.0, math.inf
-    mags = [abs(t) for t in terms]
-    if len(mags) == 1:
-        env = [mags[0]]
-    else:
-        env = [max(mags[i], mags[i + 1]) for i in range(len(mags) - 1)]
-    cut = min(range(len(env)), key=env.__getitem__)
-    s = 0.0
-    c = 0.0
-    for t in terms[: cut + 1]:
-        s, c = _neumaier_add(s, c, t)
-    total = s + c
-    if total == 0.0:
-        return 0.0, math.inf
-    return total, env[cut] / abs(total)
+    z = np.asarray(z, dtype=float)
+    nterms = C.ASYM_MAX_TERMS
+    rows = np.arange(nterms)[:, None]
+    coef = np.array([-reciprocal_gamma(beta - j * alpha) for j in range(1, nterms + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.cumprod(np.broadcast_to(1.0 / z, (nterms, z.size)), axis=0)
+        terms = p * coef[:, None]
+        stop = (p == 0.0) | ~np.isfinite(p) | ~np.isfinite(terms)
+        count = np.where(stop.any(axis=0), stop.argmax(axis=0), nterms)
+        terms[rows >= count] = 0.0
+        mags = np.abs(terms)
+        mags[rows >= count] = np.inf
+        env = np.maximum(mags[:-1], mags[1:])
+        # with a single term, the envelope is that term alone
+        env[0] = np.where(count == 1, mags[0], env[0])
+        cut = np.argmin(env, axis=0)
+        env_cut = env[cut, np.arange(z.size)]
+        # a zero term leaves the compensated sum as it is
+        terms[rows > cut] = 0.0
+        s = np.zeros_like(z)
+        c = np.zeros_like(z)
+        for t in terms[: int(cut.max(initial=0)) + 1]:
+            u = s + t
+            c = np.where(np.abs(s) >= np.abs(t), c + ((s - u) + t), c + ((t - u) + s))
+            s = u
+        total = s + c
+        empty = (count == 0) | (total == 0.0)
+        vals = np.where(empty, 0.0, total)
+        rel = np.where(empty, np.inf, env_cut / np.abs(total))
+    return vals, rel
 
 
 def _spectral(alpha, beta, x):
@@ -363,269 +494,14 @@ def _integral(alpha, beta, x):
     return v
 
 
-def _alpha_one(beta, z):
-    """E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta), exp(z) at beta = 1."""
-    if beta == 1.0:
-        try:
-            return math.exp(z), "closed-form"
-        except OverflowError:
-            return math.inf, "closed-form"
-    if abs(z) <= C.ALPHA_ONE_SERIES_ABS_Z:
-        v, okc, _ = _series(1.0, beta, z)
-        return v, "series"
-    if z > 0.0:
-        if z <= C.ALPHA_ONE_ASYM_ABS_Z:
-            v, okc, _ = _series(1.0, beta, z)
-            return v, "series"
-        arg = z + (1.0 - beta) * math.log(z)
-        v = math.inf if arg > C.EXP_ARG_MAX else math.exp(arg)
-        return v, "asymptotic"
-    x = -z
-    if x <= C.ALPHA_ONE_ASYM_ABS_Z:
-        # Kummer transform: E_{1,b}(-x) = e^-x [1 + (b-1) S] / Gamma(b),
-        # S = sum_{k>=1} x^k / ((b+k-1) k!), all terms one sign
-        s = 0.0
-        c = 0.0
-        term = 1.0
-        for k in range(1, 800):
-            term *= x / k
-            t = term / (beta + k - 1.0)
-            s, c = _neumaier_add(s, c, t)
-            if t < 1e-18 * (s if s > 0.0 else 1.0) and term < 1e-18 * max(1.0, s):
-                break
-        g = 1.0 + (beta - 1.0) * (s + c)
-        return math.exp(-x) * g * reciprocal_gamma(beta), "closed-form"
-    v, rel = _asymptotic(1.0, beta, z)
-    return v, "asymptotic"
-
-
-def _eval(alpha, beta, z):
-    """Dispatch one evaluation; returns (value, regime label)."""
-    if z == 0.0:
-        return reciprocal_gamma(beta), "closed-form"
-    if alpha == 1.0:
-        return _alpha_one(beta, z)
-    if z > 0.0:
-        try:
-            growth = _LOG10E * z ** (1.0 / alpha)
-        except OverflowError:
-            growth = math.inf
-        if growth <= C.POSITIVE_SERIES_DIGITS_CAP:
-            v, okc, _ = _series(alpha, beta, z)
-            if okc:
-                return v, "series"
-        try:
-            arg = z ** (1.0 / alpha) + (1.0 - beta) / alpha * math.log(z)
-        except OverflowError:
-            arg = math.inf
-        v = math.inf if arg > C.EXP_ARG_MAX else math.exp(arg) / alpha
-        return v, "asymptotic"
-    ax = -z
-    try:
-        predicted = _LOG10E * ax ** (1.0 / alpha)
-    except OverflowError:
-        predicted = math.inf
-    if predicted <= C.SERIES_PREDICTED_DIGITS_CAP:
-        v, okc, digits = _series(alpha, beta, z)
-        if okc and digits <= C.SERIES_REALISED_DIGITS_CAP:
-            return v, "series"
-    if ax >= C.ASYM_MIN_ABS_Z:
-        v, rel = _asymptotic(alpha, beta, z)
-        if rel <= C.ASYM_ACCEPT_REL:
-            return v, "asymptotic"
-    return _integral(alpha, beta, ax), "integral"
-
-
-def eval_ml(q: MLQuery) -> float:
-    """Value of E_{alpha,beta}(z)."""
-    return _eval(q.alpha, q.beta, q.z)[0]
-
-
-def eval_ml_info(q: MLQuery) -> tuple[float, str]:
-    """Value together with the regime label that produced it."""
-    return _eval(q.alpha, q.beta, q.z)
-
-
-def eval_ml_asymptotic_leading(q: MLQuery) -> float:
-    """Leading large-argument term -1 / (z Gamma(beta - alpha)).
-
-    Only meaningful for z <= -ASYM_MIN_ABS_Z; raises otherwise.
-    """
-    if q.z > -C.ASYM_MIN_ABS_Z:
-        raise ParameterOutOfRangeError(
-            f"leading asymptotic term requires z <= -{C.ASYM_MIN_ABS_Z:g}, got {q.z:g}"
-        )
-    return -reciprocal_gamma(q.beta - q.alpha) / q.z
-
-
-# ---------------------------------------------------------------------------
-# batched evaluation
-
-def _neumaier_batch(s, c, t):
-    """One compensated step on arrays; the same arithmetic as _neumaier_add."""
-    u = s + t
-    c = np.where(np.abs(s) >= np.abs(t), c + ((s - u) + t), c + ((t - u) + s))
-    return u, c
-
-
-def _series_batch(alpha, beta, z):
-    """Vector series for entries known to fit the cancellation budget.
-
-    Returns (values, realised digits) arrays.
-    """
-    z = np.asarray(z, dtype=float)
-    ratio = alpha == 1.0
-    s = np.zeros_like(z)
-    c = np.zeros_like(z)
-    p = np.full_like(z, reciprocal_gamma(beta)) if ratio else np.ones_like(z)
-    maxt = np.zeros_like(z)
-    alive = np.ones(z.shape, dtype=bool)
-    for k in range(C.SERIES_MAX_TERMS):
-        t = p if ratio else p * reciprocal_gamma(alpha * k + beta)
-        s, c = _neumaier_batch(s, c, t)
-        at = np.abs(t)
-        np.maximum(maxt, at, out=maxt)
-        if k >= 1:
-            done = at <= C.SERIES_TAIL_REL * np.where(maxt > 0.0, maxt, 1.0)
-            newly = done & alive
-            if np.any(newly):
-                p = np.where(newly, 0.0, p)
-                alive &= ~newly
-            if not np.any(alive):
-                break
-        p = p * z / (beta + k) if ratio else p * z
-    total = s + c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        digits = np.where(
-            (maxt > 0.0) & (total != 0.0),
-            np.log10(np.maximum(maxt / np.maximum(np.abs(total), 1e-300), 1.0)),
-            np.where(maxt > 0.0, np.inf, 0.0),
-        )
-    return total, digits
-
-
-def _asymptotic_batch(alpha, beta, z):
-    """_asymptotic over an array of z, equal to it bit for bit.
-
-    The coefficients -1/Gamma(beta - j alpha) are formed once, and the
-    terms of all points are built row by row in a (terms x points)
-    table.  Each point keeps the scalar's stopping rules (p == 0,
-    non-finite p or term), its two-term envelope cut and its Neumaier
-    sum.  Returns (values, estimated relative truncation errors).
-    """
-    z = np.asarray(z, dtype=float)
-    nterms = C.ASYM_MAX_TERMS
-    coef = np.array([-reciprocal_gamma(beta - j * alpha) for j in range(1, nterms + 1)])
-    terms = np.zeros((nterms, z.size))
-    count = np.full(z.shape, nterms)
-    alive = np.ones(z.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        zi = 1.0 / z
-        p = np.ones_like(z)
-        for j in range(nterms):
-            p = p * zi
-            t = p * coef[j]
-            stop = alive & ((p == 0.0) | ~np.isfinite(p) | ~np.isfinite(t))
-            if stop.any():
-                count[stop] = j
-                alive &= ~stop
-                if not alive.any():
-                    break
-            terms[j] = t
-        mags = np.abs(terms)
-        mags[np.arange(nterms)[:, None] >= count] = np.inf
-        env = np.maximum(mags[:-1], mags[1:])
-        # with a single term, the envelope is that term alone
-        env[0] = np.where(count == 1, mags[0], env[0])
-        cut = np.argmin(env, axis=0)
-        env_cut = env[cut, np.arange(z.size)]
-        s = np.zeros_like(z)
-        c = np.zeros_like(z)
-        for j in range(int(cut.max(initial=0)) + 1):
-            u, cu = _neumaier_batch(s, c, terms[j])
-            take = j <= cut
-            s = np.where(take, u, s)
-            c = np.where(take, cu, c)
-        total = s + c
-        empty = (count == 0) | (total == 0.0)
-        vals = np.where(empty, 0.0, total)
-        rel = np.where(empty, np.inf, env_cut / np.abs(total))
-    return vals, rel
-
-
-def _kummer_batch(beta, x):
-    """E_{1,beta}(-x) for x in (ALPHA_ONE_SERIES_ABS_Z, ALPHA_ONE_ASYM_ABS_Z].
-
-    The Kummer sum of _alpha_one, swept over all points at once.  A
-    point leaves the sweep at the term where the scalar loop breaks, so
-    its sum is the scalar's.
-    """
-    x = np.asarray(x, dtype=float)
-    sums = np.empty_like(x)
-    idx = np.arange(x.size)
-    xs = x
-    s = np.zeros_like(x)
-    c = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 800):
-        term = term * (xs / k)
-        t = term / (beta + k - 1.0)
-        s, c = _neumaier_batch(s, c, t)
-        # every term is positive, so s > 0 and the scalar's guard for s = 0 never fires
-        done = (t < 1e-18 * s) & (term < 1e-18 * np.maximum(1.0, s))
-        if done.any():
-            sums[idx[done]] = s[done] + c[done]
-            keep = ~done
-            idx, xs, s, c, term = idx[keep], xs[keep], s[keep], c[keep], term[keep]
-            if idx.size == 0:
-                break
-    sums[idx] = s + c
-    g = 1.0 + (beta - 1.0) * sums
-    return np.exp(-x) * g * reciprocal_gamma(beta)
-
-
-def _alpha_one_batch(beta, z):
-    """_alpha_one over an array of z, branch by branch.
-
-    Values can differ from the scalar route in the last few bits:
-    np.exp and np.log replace math.exp and math.log.  The series and
-    Kummer sums are the scalar's.
-    """
-    z = np.asarray(z, dtype=float)
-    if beta == 1.0:
-        with np.errstate(over="ignore"):
-            return np.exp(z)
-    out = np.empty_like(z)
-    small = np.abs(z) <= C.ALPHA_ONE_SERIES_ABS_Z
-    if small.any():
-        out[small] = _series_batch(1.0, beta, z[small])[0]
-    big = ~small
-    grow = big & (z > 0.0) & (z <= C.ALPHA_ONE_ASYM_ABS_Z)
-    if grow.any():
-        out[grow] = _series_batch(1.0, beta, z[grow])[0]
-    huge = big & (z > C.ALPHA_ONE_ASYM_ABS_Z)
-    if huge.any():
-        zh = z[huge]
-        arg = zh + (1.0 - beta) * np.log(zh)
-        with np.errstate(over="ignore"):
-            out[huge] = np.where(arg > C.EXP_ARG_MAX, np.inf, np.exp(arg))
-    kummer = big & (z < 0.0) & (z >= -C.ALPHA_ONE_ASYM_ABS_Z)
-    if kummer.any():
-        out[kummer] = _kummer_batch(beta, -z[kummer])
-    far = z < -C.ALPHA_ONE_ASYM_ABS_Z
-    if far.any():
-        out[far] = _asymptotic_batch(1.0, beta, z[far])[0]
-    return out
-
-
 def _integral_cheb(alpha, beta, xs):
     """Integral-regime values for many positive x via interpolation.
 
     E_{alpha,beta}(-e^t) is analytic in t on a strip around the real
     axis, so a Chebyshev interpolant in t = log x built from a few dozen
-    scalar quadratures covers an arbitrary batch.  The degree doubles
-    until spot checks against the scalar route agree to 2e-11 relative;
-    if that never happens every point falls back to the scalar loop.
+    quadratures covers an arbitrary batch.  The degree doubles until
+    spot checks against direct quadrature agree to 2e-11 relative; if
+    that never happens every point takes its own quadrature.
     """
     xs = np.asarray(xs, dtype=float)
     t = np.log(xs)
@@ -655,71 +531,135 @@ def _integral_cheb(alpha, beta, xs):
     return np.array([_integral(alpha, beta, float(x)) for x in xs])
 
 
+# ---------------------------------------------------------------------------
+# the evaluator
+
+def _evaluate(alpha, beta, z):
+    """E_{alpha,beta} and a regime code at each point of a flat array z.
+
+    The routes are those eval_ml_many lists.
+    """
+    code = np.full(z.shape, _CLOSED_FORM, dtype=np.int8)
+    if alpha == 1.0 and beta == 1.0:
+        with np.errstate(over="ignore"):
+            return np.exp(z), code
+    val = np.empty_like(z)
+    ax = np.abs(z)
+    left = z != 0.0
+    val[~left] = reciprocal_gamma(beta)
+    if alpha == 1.0:
+        band = (ax <= C.ALPHA_ONE_SERIES_ABS_Z) | ((z > 0.0) & (z <= C.ALPHA_ONE_ASYM_ABS_Z))
+        digits_cap = math.inf
+    else:
+        with np.errstate(over="ignore"):
+            predicted = _LOG10E * ax ** (1.0 / alpha)
+        band = predicted <= np.where(
+            z < 0.0, C.SERIES_PREDICTED_DIGITS_CAP, C.POSITIVE_SERIES_DIGITS_CAP
+        )
+        digits_cap = C.SERIES_REALISED_DIGITS_CAP
+
+    idx = np.flatnonzero(band & left)
+    if idx.size:
+        v, converged, digits = _series_batch(alpha, beta, z[idx])
+        ok = converged & ((z[idx] > 0.0) | (digits <= digits_cap))
+        idx = idx[ok]
+        val[idx] = v[ok]
+        code[idx] = _SERIES
+        left[idx] = False
+
+    grow = left & (z > 0.0)
+    if grow.any():
+        zg = z[grow]
+        with np.errstate(over="ignore"):
+            arg = zg ** (1.0 / alpha) + (1.0 - beta) / alpha * np.log(zg)
+            val[grow] = np.where(arg > C.EXP_ARG_MAX, np.inf, np.exp(arg) / alpha)
+        code[grow] = _ASYMPTOTIC
+    left &= z < 0.0
+
+    if alpha == 1.0:
+        kummer = left & (ax <= C.ALPHA_ONE_ASYM_ABS_Z)
+        if kummer.any():
+            val[kummer] = _kummer_batch(beta, ax[kummer])
+        far = left & ~kummer
+        if far.any():
+            val[far] = _asymptotic_batch(1.0, beta, z[far])[0]
+            code[far] = _ASYMPTOTIC
+        return val, code
+
+    idx = np.flatnonzero(left & (ax >= C.ASYM_MIN_ABS_Z))
+    if idx.size:
+        v, rel = _asymptotic_batch(alpha, beta, z[idx])
+        ok = rel <= C.ASYM_ACCEPT_REL
+        idx = idx[ok]
+        val[idx] = v[ok]
+        code[idx] = _ASYMPTOTIC
+        left[idx] = False
+    idx = np.flatnonzero(left)
+    code[idx] = _INTEGRAL
+    if idx.size >= C.BATCH_QUAD_MIN_POINTS:
+        val[idx] = _integral_cheb(alpha, beta, ax[idx])
+    else:
+        val[idx] = [_integral(alpha, beta, float(x)) for x in ax[idx]]
+    return val, code
+
+
+def eval_ml(q: MLQuery) -> float:
+    """Value of E_{alpha,beta}(z)."""
+    return float(_evaluate(q.alpha, q.beta, np.array([q.z]))[0][0])
+
+
+def eval_ml_info(q: MLQuery) -> tuple[float, str]:
+    """Value together with the label of the regime that produced it.
+
+    The labels are "series", "asymptotic", "integral" and
+    "closed-form" (z = 0, exp(z) at alpha = beta = 1, and the Kummer
+    transform at alpha = 1).
+    """
+    val, code = _evaluate(q.alpha, q.beta, np.array([q.z]))
+    return float(val[0]), _REGIME_LABELS[code[0]]
+
+
 def eval_ml_many(alpha: float, beta: float, z) -> np.ndarray:
-    """E_{alpha,beta} over an array of real arguments.
+    """E_{alpha,beta} over an array of real arguments, in the shape of z.
 
-    Same regime logic and accuracy target as eval_ml, with each regime
-    served for all of its points at once:
+    eval_ml and eval_ml_info are this evaluator on one point.
 
-    * alpha = 1: the exact exponential forms of _alpha_one, branch by
-      branch (np.exp at beta = 1, the series sweep for |z| <= 7 and for
-      growth up to 600, a masked Kummer sweep on [-600, -7) and the
-      batched asymptotic below it);
-    * the series band: one vectorised sweep, the same sums as the scalar
-      series;
-    * negative points left over with |z| >= ASYM_MIN_ABS_Z: the batched
-      asymptotic expansion, equal to the scalar one bit for bit;
-    * what it does not accept: a Chebyshev interpolant in log|z| when
-      at least BATCH_QUAD_MIN_POINTS points remain, otherwise scalar
-      quadrature per point;
-    * positive points beyond the series band: the scalar evaluator.
+    Each regime serves all of its points at once:
+
+    * z = 0: 1/Gamma(beta); at alpha = beta = 1, exp(z) everywhere;
+    * the series band, one table sweep: |z| <= ALPHA_ONE_SERIES_ABS_Z
+      and growth up to ALPHA_ONE_ASYM_ABS_Z at alpha = 1, otherwise
+      while the predicted cancellation (or, for z > 0, growth) stays
+      within its digit cap.  A point leaves it only when its sum did
+      not converge or, for z < 0 and alpha < 1, cancelled past
+      SERIES_REALISED_DIGITS_CAP;
+    * z > 0 beyond: the exponential asymptotic form;
+    * alpha = 1, z < 0 beyond: the Kummer sweep down to
+      -ALPHA_ONE_ASYM_ABS_Z, the batched asymptotic expansion below;
+    * alpha < 1, z <= -ASYM_MIN_ABS_Z: the batched asymptotic
+      expansion, kept where its truncation estimate is within
+      ASYM_ACCEPT_REL;
+    * the rest: the spectral integral, from a Chebyshev interpolant in
+      log|z| when at least BATCH_QUAD_MIN_POINTS points remain,
+      otherwise one quadrature per point.
     """
     MLQuery(alpha, beta, 0.0)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(np.isfinite(z)):
         raise ParameterOutOfRangeError("z values must be finite")
-    if alpha == 1.0:
-        return _alpha_one_batch(beta, z)
+    return _evaluate(alpha, beta, z.ravel())[0].reshape(z.shape)
 
-    out = np.full_like(z, np.nan)
-    ax = np.abs(z)
-    with np.errstate(over="ignore"):
-        predicted = _LOG10E * ax ** (1.0 / alpha)
-    neg = z < 0.0
-    pos = z > 0.0
-    zero = z == 0.0
-    out[zero] = reciprocal_gamma(beta)
 
-    series_mask = (neg & (predicted <= C.SERIES_PREDICTED_DIGITS_CAP)) | (
-        pos & (predicted <= C.POSITIVE_SERIES_DIGITS_CAP)
-    )
-    leftover = ~series_mask & ~zero
-    if np.any(series_mask):
-        vals, digits = _series_batch(alpha, beta, z[series_mask])
-        ok = np.isfinite(vals) & (
-            (z[series_mask] > 0.0) | (digits <= C.SERIES_REALISED_DIGITS_CAP)
+def eval_ml_asymptotic_leading(q: MLQuery) -> float:
+    """Leading large-argument term -1 / (z Gamma(beta - alpha)).
+
+    Only meaningful for z <= -ASYM_MIN_ABS_Z; raises otherwise.
+    """
+    if q.z > -C.ASYM_MIN_ABS_Z:
+        raise ParameterOutOfRangeError(
+            f"leading asymptotic term requires z <= -{C.ASYM_MIN_ABS_Z:g}, got {q.z:g}"
         )
-        idx = np.flatnonzero(series_mask)
-        out[idx[ok]] = vals[ok]
-        leftover[idx[~ok]] = True
-
-    for i in np.flatnonzero(leftover & pos):
-        out[i] = _eval(alpha, beta, z[i])[0]
-    remaining = leftover & neg
-    asym = remaining & (ax >= C.ASYM_MIN_ABS_Z)
-    if np.any(asym):
-        idx = np.flatnonzero(asym)
-        vals, rel = _asymptotic_batch(alpha, beta, z[idx])
-        ok = rel <= C.ASYM_ACCEPT_REL
-        out[idx[ok]] = vals[ok]
-        remaining[idx[ok]] = False
-    ridx = np.flatnonzero(remaining)
-    if ridx.size >= C.BATCH_QUAD_MIN_POINTS:
-        out[ridx] = _integral_cheb(alpha, beta, -z[ridx])
-    else:
-        for i in ridx:
-            out[i] = _integral(alpha, beta, -z[i])
-    return out
+    return -reciprocal_gamma(q.beta - q.alpha) / q.z
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +696,8 @@ def eval_weighted(p: CMWeightedParams, x: float) -> float:
         raise EvaluationAtZeroUndefinedError(
             f"x^(gamma_w-1) diverges at 0 for gamma_w = {p.gamma_w:g}"
         )
-    e = _eval(p.alpha, p.beta, -p.lam * x**p.alpha)[0]
-    return x ** (p.gamma_w - 1.0) * e
+    e = _evaluate(p.alpha, p.beta, np.array([-p.lam * x**p.alpha]))[0][0]
+    return x ** (p.gamma_w - 1.0) * float(e)
 
 
 def eval_weighted_many(p: CMWeightedParams, x) -> np.ndarray:

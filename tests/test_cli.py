@@ -14,7 +14,7 @@ def test_mlf_text_output(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     value, regime = out.split()
-    assert float(value) == pytest.approx(0.25539567631050186, rel=1e-13)
+    assert float(value) == pytest.approx(0.25539567631050186, rel=1e-13, abs=0.0)
     assert regime == "regime=series"
 
 
@@ -23,7 +23,7 @@ def test_mlf_json_output(capsys):
               "--format", "json"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["value"] == pytest.approx(0.25539567631050186, rel=1e-13)
+    assert doc["value"] == pytest.approx(0.25539567631050186, rel=1e-13, abs=0.0)
 
 
 def test_classify_inline(capsys):
@@ -158,8 +158,8 @@ def test_fit_recovers_rate(tmp_path):
               "--out", str(out), "--format", "json"])
     assert rc == 0
     doc = json.loads(out.read_text())
-    assert doc["parameters"]["lambda"] == pytest.approx(1.3, rel=1e-2)
-    assert doc["parameters"]["y_1"] == pytest.approx(1.0, rel=1e-2)
+    assert doc["parameters"]["lambda"] == pytest.approx(1.3, rel=1e-2, abs=0.0)
+    assert doc["parameters"]["y_1"] == pytest.approx(1.0, rel=1e-2, abs=0.0)
     assert (tmp_path / "fit_curve.csv").exists()
 
 

@@ -41,7 +41,7 @@ def test_evaluate_scalar_and_vector():
     ps = PowerSum(((1.0, 0.5), (2.0, -0.2)))
     x = 2.0
     want = math.sqrt(2.0) + 2.0 * x ** -0.2
-    assert ps.evaluate(x) == pytest.approx(want, rel=1e-15)
+    assert ps.evaluate(x) == pytest.approx(want, rel=1e-15, abs=0.0)
     np.testing.assert_allclose(
         ps.values(np.array([1.0, 2.0])), [3.0, want], rtol=1e-15
     )
@@ -60,7 +60,7 @@ def test_rl_integral_monomial_coefficient():
     assert len(out.terms) == 1
     c, mu = out.terms[0]
     assert mu == pytest.approx(1.0)
-    assert c == pytest.approx(math.gamma(1.5) / math.gamma(2.0), rel=1e-14)
+    assert c == pytest.approx(math.gamma(1.5) / math.gamma(2.0), rel=1e-14, abs=0.0)
 
 
 def test_rl_integral_semigroup(rng):
@@ -91,9 +91,9 @@ def test_derivative_of_monomial_coefficient():
     out = nth_level_derivative(spec, PowerSum.monomial(1.0, mu))
     assert len(out.terms) == 1
     c, ex = out.terms[0]
-    assert ex == pytest.approx(mu - spec.alpha, rel=1e-12)
+    assert ex == pytest.approx(mu - spec.alpha, rel=1e-12, abs=0.0)
     want = math.gamma(mu + 1.0) / math.gamma(mu + 1.0 - spec.alpha)
-    assert c == pytest.approx(want, rel=1e-12)
+    assert c == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_kernel_monomials_are_annihilated():

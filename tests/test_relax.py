@@ -68,21 +68,29 @@ def test_classical_exponential_limit():
     got = evaluate_solution_many(sol, xs)
     np.testing.assert_allclose(got, np.exp(-2.0 * xs), rtol=1e-13, atol=1e-15)
     # both paths take the x = 0 limit term by term
-    assert evaluate_solution(sol, 0.0) == pytest.approx(1.0, rel=1e-14)
-    assert evaluate_solution_many(sol, np.array([0.0]))[0] == pytest.approx(1.0, rel=1e-14)
+    assert evaluate_solution(sol, 0.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    assert evaluate_solution_many(sol, np.array([0.0]))[0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_batch_evaluation_includes_the_origin():
     sol = solve_relaxation(RelaxationProblem(DerivativeSpec(1, 0.6, (0.4,)), 1.0, (1.0,)))
     got = sol(np.array([0.0, 1.0]))
-    assert got[0] == pytest.approx(evaluate_solution(sol, 0.0), rel=1e-15)
-    assert got[1] == pytest.approx(evaluate_solution(sol, 1.0), rel=1e-14)
+    assert got[0] == pytest.approx(evaluate_solution(sol, 0.0), rel=1e-15, abs=0.0)
+    assert got[1] == pytest.approx(evaluate_solution(sol, 1.0), rel=1e-14, abs=0.0)
     # a term whose weight diverges at 0 has no value there on either path
     rl = solve_relaxation(RelaxationProblem(RL_1, 1.0, (1.0,)))
     with pytest.raises(EvaluationAtZeroUndefinedError):
         evaluate_solution(rl, 0.0)
     with pytest.raises(EvaluationAtZeroUndefinedError):
         rl(np.array([0.0, 1.0]))
+
+
+def test_batch_evaluation_keeps_the_shape():
+    sol = solve_relaxation(RelaxationProblem(DerivativeSpec(1, 0.6, (0.4,)), 1.0, (1.0,)))
+    x = np.array([[0.5, 1.0], [2.0, 30.0]])
+    got = sol(x)
+    assert got.shape == x.shape
+    np.testing.assert_array_equal(got, sol(x.ravel()).reshape(x.shape))
 
 
 def test_half_order_matches_erfcx_composition():
@@ -112,7 +120,7 @@ def test_small_x_recovers_homogeneous_data():
     sol = solve_relaxation(p)
     hom = solve_homogeneous(TRULY_2L, (0.7, 1.8))
     x = 1e-8
-    assert evaluate_solution(sol, x) == pytest.approx(hom.evaluate(x), rel=1e-3)
+    assert evaluate_solution(sol, x) == pytest.approx(hom.evaluate(x), rel=1e-3, abs=0.0)
 
 
 def test_evaluate_rejects_negative_x():
@@ -161,7 +169,7 @@ def test_asymptotic_coefficients():
         got[round(ex, 9)] = d
     for yk, sk, k in zip(y, TRULY_2L.s, (1, 2)):
         want = yk * reciprocal_gamma(sk - k + 1.0) / lam
-        assert got[round(sk - k, 9)] == pytest.approx(want, rel=1e-13)
+        assert got[round(sk - k, 9)] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_asymptotic_form_improves_with_x():
@@ -271,7 +279,7 @@ def test_laplace_closed_form_value():
     num = sum(yk * s ** (k - sk - 1.0)
               for yk, sk, k in zip((1.0, 2.0), TRULY_2L.s, (1, 2)))
     want = num / (s**TRULY_2L.alpha + lam)
-    assert closed_form_laplace(p, s) == pytest.approx(want, rel=1e-14)
+    assert closed_form_laplace(p, s) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("spec", [RL_1, CAPUTO_1, TRULY_2L])
