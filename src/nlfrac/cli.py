@@ -298,7 +298,7 @@ def _cmd_fit(args) -> int:
         root, _ = os.path.splitext(args.out)
         lines = ["x,y"] + [f"{a:.17g},{b:.17g}" for a, b in zip(prob.x, fitted)]
         _atomic_write(root + "_curve.csv", "\n".join(lines) + "\n")
-    return 0
+    return 0 if result.converged else 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
 """Least-squares recovery of relaxation parameters from decay data.
 
-The model is the closed-form relaxation solution; the parameter vector
-is laid out as (alpha, gamma_1..gamma_n, lambda, y_1..y_n) with a
-boolean mask choosing which entries move.  The search is a
-derivative-free simplex on the free coordinates.  Infeasible trials,
-anything outside its box bounds or the operator's validity region,
-score +inf rather than being clamped, so the simplex walks around the
-constraint boundary instead of sliding along it.
+The model is the closed-form relaxation solution
 
-Model evaluation goes through the same Mittag-Leffler path as the
+    y(x) = sum_k y_k phi_k(x),  phi_k(x) = x^sigma_k E_{alpha,sigma_k+1}(-lambda x^alpha),
+
+with the parameter vector laid out as (alpha, gamma_1..gamma_n, lambda,
+y_1..y_n) and a boolean mask choosing which entries move.  The model is
+linear in the initial values y_k, so the fit is a variable projection
+(Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): each trial of
+the nonlinear entries (alpha, gamma_k, lambda) evaluates the basis
+columns phi_k once and solves the free y_k by weighted linear least
+squares inside their box bounds.  A derivative-free simplex moves the
+free nonlinear entries only and scores each trial by the residual sum
+of squares that solve leaves.  Infeasible trials, anything outside its
+box bounds or the operator's validity region, score +inf rather than
+being clamped, so the simplex walks around the constraint boundary
+instead of sliding along it.
+
+The basis columns go through the same Mittag-Leffler path as the
 forward solver, which is what makes noiseless round trips land at
 machine-level residuals.
 """
@@ -16,10 +25,10 @@ machine-level residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import lsq_linear, minimize
 
 from .errors import ParameterOutOfRangeError
 from .relax import (
@@ -63,11 +72,23 @@ def _unpack(vec, n):
     return alpha, gamma, lam, y
 
 
+def _problem(vec, n: int) -> RelaxationProblem:
+    alpha, gamma, lam, y = _unpack(vec, n)
+    return RelaxationProblem(DerivativeSpec(n, alpha, gamma), lam, y)
+
+
+def _basis(prob: RelaxationProblem, xs: np.ndarray) -> np.ndarray:
+    """Columns phi_k(xs): the terms of the solution with unit weights."""
+    sol = solve_relaxation(prob)
+    return np.column_stack(
+        [evaluate_solution_many(replace(sol, terms=((1.0, q),)), xs) for _, q in sol.terms]
+    )
+
+
 def model_values(vec, n: int, xs: np.ndarray) -> np.ndarray:
     """Closed-form model at the data abscissas for a full parameter vector."""
-    alpha, gamma, lam, y = _unpack(np.asarray(vec, dtype=float), n)
-    prob = RelaxationProblem(DerivativeSpec(n, alpha, gamma), lam, y)
-    return evaluate_solution_many(solve_relaxation(prob), np.asarray(xs, dtype=float))
+    prob = _problem(np.asarray(vec, dtype=float), n)
+    return _basis(prob, np.asarray(xs, dtype=float)) @ prob.y
 
 
 @dataclass(frozen=True)
@@ -172,66 +193,89 @@ def _feasible(vec: np.ndarray, p: FitProblem) -> bool:
     return reduce_spec(spec).n == p.n
 
 
-def _objective(p: FitProblem, free_idx):
-    def cost(free_vec: np.ndarray) -> float:
-        vec = np.array(p.initial_guess, dtype=float)
-        vec[free_idx] = free_vec
-        if not _feasible(vec, p):
-            return math.inf
-        model = model_values(vec, p.n, p.x)
-        resid = (model - p.y) * p.weights
-        return float(resid @ resid)
+def _projection(p: FitProblem, start: np.ndarray, nl_idx):
+    """Trial of the free nonlinear entries -> (rss, full parameter vector).
 
-    return cost
+    Entries not in nl_idx keep their start values, except the free y_k,
+    which the weighted linear least-squares solve sets.  A free y_k whose
+    box is a single value keeps the start value the box pinned it to.
+    """
+    n = p.n
+    lo, hi = np.array(p.bounds[n + 2 :]).T
+    free_y = np.array(p.free_mask[n + 2 :]) & (lo < hi)
+    lo, hi = lo[free_y], hi[free_y]
+
+    def project(nl_vec: np.ndarray) -> tuple[float, np.ndarray]:
+        vec = start.copy()
+        vec[nl_idx] = nl_vec
+        if not _feasible(vec, p):
+            return math.inf, vec
+        basis = _basis(_problem(vec, n), p.x) * p.weights[:, None]
+        y = vec[n + 2 :]
+        a = basis[:, free_y]
+        b = p.y * p.weights - basis[:, ~free_y] @ y[~free_y]
+        coef = np.linalg.lstsq(a, b, rcond=None)[0]
+        if np.any(coef < lo) or np.any(coef > hi):
+            coef = lsq_linear(a, b, bounds=(lo, hi), method="bvls").x
+        y[free_y] = coef
+        resid = a @ coef - b
+        return float(resid @ resid), vec
+
+    return project
 
 
 def fit_relaxation(p: FitProblem, seed: int = 0, max_iter: int = 2000) -> FitResult:
-    """Simplex search over the free coordinates.
+    """Variable projection: simplex over the free nonlinear entries.
 
-    The seed only perturbs the starting point (5 percent, one draw per
-    free coordinate), so repeated calls with the same seed and data are
-    bit-identical.  An initial point scoring +inf is rejected up front:
-    the simplex would have no gradient information at all to escape it.
+    The simplex moves only the free entries among alpha, gamma_k and
+    lambda.  Each trial solves the free y_k by weighted linear least
+    squares within their box bounds, so no y_k is a simplex coordinate
+    and the guesses of the free y_k are never used.  ``iterations``
+    counts simplex iterations; it is 0 when no nonlinear entry is free,
+    and then the linear solve alone is the fit.  The seed only perturbs
+    the starting point (5 percent, one draw per free nonlinear entry),
+    so repeated calls with the same seed and data are bit-identical.  An
+    initial point scoring +inf is rejected up front: the simplex would
+    have no gradient information at all to escape it.
     """
-    names = parameter_names(p.n)
+    n = p.n
+    names = parameter_names(n)
     free_idx = [i for i, b in enumerate(p.free_mask) if b]
-    cost = _objective(p, free_idx)
-    x0_full = np.array(p.initial_guess, dtype=float)
+    nl_idx = [i for i in free_idx if i < n + 2]
+    start = np.array(p.initial_guess, dtype=float)
     rng = np.random.default_rng(seed)
-    jitter = 1.0 + 0.05 * rng.standard_normal(len(free_idx))
-    x0 = x0_full[free_idx] * jitter
-    # pull the jittered start back inside its box
-    for j, i in enumerate(free_idx):
+    start[nl_idx] *= 1.0 + 0.05 * rng.standard_normal(len(nl_idx))
+    # pull the start of every free entry back inside its box
+    for i in free_idx:
         lo, hi = p.bounds[i]
-        x0[j] = min(max(x0[j], lo), hi)
-    start_vec = x0_full.copy()
-    start_vec[free_idx] = x0
-    if not _feasible(start_vec, p):
+        start[i] = min(max(start[i], lo), hi)
+    if not _feasible(start, p):
         raise ParameterOutOfRangeError(
             "initial guess is infeasible under the bounds and validity "
             "constraints; adjust the guess or the bounds"
         )
-    res = minimize(
-        cost,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iter,
-            "xatol": 1e-10,
-            "fatol": 1e-24,
-            "adaptive": True,
-        },
-    )
-    vec = x0_full.copy()
-    vec[free_idx] = res.x
-    alpha, gamma, lam, y = _unpack(vec, p.n)
-    prob = RelaxationProblem(DerivativeSpec(p.n, alpha, gamma), lam, y)
+    project = _projection(p, start, nl_idx)
+    nl_best, iterations, converged = start[nl_idx], 0, True
+    if nl_idx:
+        res = minimize(
+            lambda v: project(v)[0],
+            nl_best,
+            method="Nelder-Mead",
+            options={
+                "maxiter": max_iter,
+                "xatol": 1e-10,
+                "fatol": 1e-24,
+                "adaptive": True,
+            },
+        )
+        nl_best, iterations, converged = res.x, int(res.nit), bool(res.success)
+    rss, vec = project(nl_best)
     return FitResult(
         parameters=dict(zip(names, map(float, vec))),
-        rss=float(res.fun),
-        iterations=int(res.nit),
-        converged=bool(res.success),
-        cm=cm_verdict(prob),
+        rss=rss,
+        iterations=iterations,
+        converged=converged,
+        cm=cm_verdict(_problem(vec, n)),
     )
 
 
@@ -239,5 +283,4 @@ def fit_report_tail(r: FitResult, n: int) -> AsymptoticForm:
     """Large-x power form implied by fitted parameters."""
     names = parameter_names(n)
     vec = [r.parameters[k] for k in names]
-    alpha, gamma, lam, y = _unpack(np.asarray(vec, dtype=float), n)
-    return asymptotic_form(RelaxationProblem(DerivativeSpec(n, alpha, gamma), lam, y))
+    return asymptotic_form(_problem(np.asarray(vec, dtype=float), n))

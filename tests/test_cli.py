@@ -163,6 +163,26 @@ def test_fit_recovers_rate(tmp_path):
     assert (tmp_path / "fit_curve.csv").exists()
 
 
+def test_unconverged_fit_exits_two_but_writes(tmp_path, monkeypatch):
+    import nlfrac.cli
+    from nlfrac import (DerivativeSpec, RelaxationProblem, evaluate_solution_many,
+                        fit_relaxation, solve_relaxation)
+    monkeypatch.setattr(nlfrac.cli, "fit_relaxation",
+                        lambda prob, seed: fit_relaxation(prob, seed=seed, max_iter=1))
+    spec = DerivativeSpec(2, 0.5, (0.5, 0.4))
+    xs = np.linspace(0.05, 4.0, 40)
+    ys = evaluate_solution_many(
+        solve_relaxation(RelaxationProblem(spec, 1.3, (1.0, 0.7))), xs)
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(xs, ys)))
+    out = tmp_path / "fit.json"
+    rc = run(["fit", "--data", str(data), "--n", "2", "--free", "lambda,y_1",
+              "--guess", "0.5,0.5,0.4,2.0,1.5,0.7", "--out", str(out)])
+    assert rc == 2
+    assert json.loads(out.read_text())["converged"] is False
+    assert (tmp_path / "fit_curve.csv").exists()
+
+
 def test_fit_accepts_bare_aliases(tmp_path):
     from nlfrac import (DerivativeSpec, RelaxationProblem, evaluate_solution_many,
                         solve_relaxation)

@@ -147,3 +147,42 @@ def test_tail_report_leading_coefficient():
     assert ex == pytest.approx(TRUTH_SPEC.s[0] - 1.0)
     want = TRUTH["y_1"] / (r.parameters["lambda"] * math.gamma(TRUTH_SPEC.s[0]))
     assert d == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+def test_only_initial_values_free_is_a_linear_solve():
+    p = _problem({"y_1", "y_2"}, jitter=3.0)
+    r = fit_relaxation(p, seed=0)
+    assert r.iterations == 0
+    assert r.converged
+    for nm in ("y_1", "y_2"):
+        assert r.parameters[nm] == pytest.approx(TRUTH[nm], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("y2_box", [(-1e2, 0.5), (0.5, 0.5)])
+def test_initial_value_at_its_bound(y2_box):
+    # y_2 capped below its true 0.7: the bounded solve pins it at the cap
+    # and y_1 takes the one-column least-squares value against the rest
+    xs, ys = _curve()
+    names = _names(2)
+    mask = tuple(nm in {"y_1", "y_2"} for nm in names)
+    guess = tuple(TRUTH[nm] for nm in names)
+    bounds = ((0.01, 1.0), (0.0, 0.999), (0.0, 0.999),
+              (1e-3, 1e2), (-1e2, 1e2), y2_box)
+    r = fit_relaxation(FitProblem(xs, ys, 2, mask, bounds, guess), seed=0)
+    phi1, phi2 = (evaluate_solution_many(solve_relaxation(
+        RelaxationProblem(TRUTH_SPEC, TRUTH["lambda"], y)), xs) for y in ((1.0, 0.0), (0.0, 1.0)))
+    y1 = phi1 @ (ys - 0.5 * phi2) / (phi1 @ phi1)
+    assert r.iterations == 0
+    assert r.parameters["y_2"] == pytest.approx(0.5, rel=1e-12, abs=0.0)
+    assert r.parameters["y_1"] == pytest.approx(y1, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("free, start", [
+    ({"alpha", "lambda", "y_1", "y_2"}, 0.9),
+    ({"alpha", "gamma_1", "lambda", "y_1", "y_2"}, 0.95),
+])
+def test_several_nonlinear_entries_free(free, start):
+    r = fit_relaxation(_problem(free, jitter=start), seed=0)
+    assert r.converged
+    for nm in free:
+        assert r.parameters[nm] == pytest.approx(TRUTH[nm], rel=1e-8, abs=0.0)
