@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
 
-from .errors import ParameterOutOfRangeError
+from .errors import NlfracError, ParameterOutOfRangeError
 from .relax import (
     AsymptoticForm,
     CMReport,
@@ -40,7 +40,9 @@ from .relax import (
     evaluate_solution_many,
     solve_relaxation,
 )
-from .specparams import DerivativeSpec, reduce_spec, validate
+# reduce_spec and validate are not called here, but perfbench/tracing.py
+# wraps them under this module's name
+from .specparams import DerivativeSpec, reduce_spec, validate  # noqa: F401
 
 __all__ = [
     "FitProblem",
@@ -176,21 +178,20 @@ class FitResult:
         }
 
 
-def _feasible(vec: np.ndarray, p: FitProblem) -> bool:
+def _feasible(vec: np.ndarray, p: FitProblem) -> RelaxationProblem | None:
+    """The trial's problem, or None when the trial is infeasible.
+
+    Infeasible means outside a box bound or outside what
+    RelaxationProblem accepts: an invalid operator, or one that reduces
+    to a lower level and so would orphan initial values.
+    """
     for v, (lo, hi) in zip(vec, p.bounds):
         if not (lo <= v <= hi):
-            return False
-    alpha, gamma, lam, _ = _unpack(vec, p.n)
-    if not (lam > 0.0):
-        return False
+            return None
     try:
-        spec = DerivativeSpec(p.n, float(alpha), tuple(map(float, gamma)))
-    except Exception:
-        return False
-    if not validate(spec).valid:
-        return False
-    # a trial that collapses to a lower level would orphan initial values
-    return reduce_spec(spec).n == p.n
+        return _problem(vec, p.n)
+    except NlfracError:
+        return None
 
 
 def _projection(p: FitProblem, start: np.ndarray, nl_idx):
@@ -208,9 +209,10 @@ def _projection(p: FitProblem, start: np.ndarray, nl_idx):
     def project(nl_vec: np.ndarray) -> tuple[float, np.ndarray]:
         vec = start.copy()
         vec[nl_idx] = nl_vec
-        if not _feasible(vec, p):
+        prob = _feasible(vec, p)
+        if prob is None:
             return math.inf, vec
-        basis = _basis(_problem(vec, n), p.x) * p.weights[:, None]
+        basis = _basis(prob, p.x) * p.weights[:, None]
         y = vec[n + 2 :]
         a = basis[:, free_y]
         b = p.y * p.weights - basis[:, ~free_y] @ y[~free_y]
@@ -249,7 +251,7 @@ def fit_relaxation(p: FitProblem, seed: int = 0, max_iter: int = 2000) -> FitRes
     for i in free_idx:
         lo, hi = p.bounds[i]
         start[i] = min(max(start[i], lo), hi)
-    if not _feasible(start, p):
+    if _feasible(start, p) is None:
         raise ParameterOutOfRangeError(
             "initial guess is infeasible under the bounds and validity "
             "constraints; adjust the guess or the bounds"

@@ -2,16 +2,18 @@
 
 The evaluator picks between three strategies on the negative real axis:
 the defining power series (compensated summation), the algebraic
-asymptotic expansion, and a real spectral integral representation.  The
-switch points below were frozen after a calibration sweep against a
-40+ digit reference (mpmath series at adaptive precision, Talbot
-transform inversion where the series needs infeasible precision,
-cross-checked on alpha = 1/2 against scipy.special.erfcx); the sweep
-script is tests/calibrate_mlf.py.  On its 1520-point grid (alpha in
+asymptotic expansion, and an integral representation: a contour rule
+for the inverse Laplace transform, with the real spectral integral
+where the rule's rounding bound is too large.  The switch points below
+were frozen after a calibration sweep against a 40+ digit reference
+(mpmath series at adaptive precision, Talbot transform inversion where
+the series needs infeasible precision, cross-checked on alpha = 1/2
+against scipy.special.erfcx); the sweep script is tests/calibrate_mlf.py.  On its 1520-point grid (alpha in
 [0.05, 1], |z| <= 1e5, beta <= 2.5) the worst relative errors with these
-settings are 1.0e-11 (asymptotic), 3.2e-12 (series), 3.8e-12 (integral)
-and 1.3e-15 (alpha = 1 closed forms).  The script exits nonzero when any
-regime exceeds the budget of 2e-11.
+settings are 1.0e-11 (asymptotic), 3.2e-12 (series), 5.4e-14 (integral)
+and 1.3e-15 (alpha = 1 closed forms).  The contour rule serves 419 of the
+423 integral points; 4 fall back to the spectral integral.  The script
+exits nonzero when any regime exceeds the budget of 2e-11.
 
 Do not tune these per call site.  They encode a global accuracy budget:
 
@@ -67,7 +69,8 @@ POSITIVE_SERIES_DIGITS_CAP = 280.0
 # exp() overflow threshold for the exponential asymptotic form
 EXP_ARG_MAX = 709.0
 
-# integral route: quadrature targets
+# integral regime: the contour rule's value is kept where its rounding
+# bound is within INTEGRAL_EPSREL, and the spectral quadrature targets it
 INTEGRAL_EPSREL = 1e-12
 INTEGRAL_LIMIT = 400
 
@@ -76,10 +79,3 @@ INTEGRAL_LIMIT = 400
 # the Lorentzian there, of width about pi (1 - alpha) x, is then
 # narrower than adaptive quadrature resolves to INTEGRAL_EPSREL
 INTEGRAL_PINCH_ALPHA = 0.999
-
-# batched evaluation: minimum number of integral-regime points worth
-# serving from a Chebyshev interpolant in log|z| (built from per-point
-# quadratures and spot-checked against them), plus its controls
-BATCH_QUAD_MIN_POINTS = 40
-CHEB_MAX_NODES = 257
-CHEB_ACCEPT_REL = 2e-11

@@ -194,9 +194,6 @@ def test_many_against_oracle(rng):
             [1e6],
         ])
         regimes = [eval_ml_info(MLQuery(a, b, -float(x)))[1] for x in xs]
-        # from this many integral points on, a Chebyshev interpolant
-        # (accepted at 2e-11) would take over from per-point quadrature
-        assert regimes.count("integral") < mlconstants.BATCH_QUAD_MIN_POINTS
         assert "asymptotic" in regimes
         vals = eval_ml_many(a, b, -xs)
         for x, v in zip(xs, vals):
@@ -321,7 +318,7 @@ def test_pinched_route_matches_plain_route(monkeypatch, a, b):
         assert mlf._integral(a, b, x) == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
-def test_many_near_alpha_one_is_accurate_and_uses_an_interpolant():
+def test_many_near_alpha_one_is_accurate_and_falls_back_sparingly():
     a = 0.99994
     xs = -0.92 * np.geomspace(1e-3, 1e3, 2000) ** a
     calls = []
@@ -336,11 +333,66 @@ def test_many_near_alpha_one_is_accurate_and_uses_an_interpolant():
         vals = eval_ml_many(a, 1.0, xs)
     finally:
         mlf._integral = integral
-    # a Chebyshev build is a few hundred quadratures; the per-point
-    # fallback after failed spot checks was about a thousand
+    # the value cancels among the contour terms here, and the points whose
+    # rounding bound misses INTEGRAL_EPSREL take the spectral quadrature
     assert 0 < len(calls) < 200
     for i in range(0, xs.size, 167):
         assert vals[i] == pytest.approx(_transform_oracle(a, 1.0, -xs[i]), rel=1e-10, abs=0.0)
+
+
+def _integral_band(a, b, lo=0.5, hi=40.0, n=400):
+    """The x in a log grid over [lo, hi] that the integral regime serves."""
+    xs = np.geomspace(lo, hi, n)
+    return xs[mlf._evaluate(a, b, -xs)[1] == mlf._INTEGRAL]
+
+
+@pytest.mark.parametrize("a,b", [(0.6, 0.8), (0.3, 0.5), (0.9, 1.0), (0.05, 0.7)])
+def test_many_integral_points_do_not_depend_on_the_batch(a, b):
+    zs = -_integral_band(a, b)
+    assert zs.size >= 80
+    got = eval_ml_many(a, b, zs)
+    np.testing.assert_array_equal(got, [eval_ml(MLQuery(a, b, float(z))) for z in zs])
+
+
+# at the series band's edge, beta = 20 takes 20 to 64 recurrence steps,
+# each a difference of nearly equal values; the 1 to 2 ulp rounding of
+# 1/Gamma then costs 1e-12 to 3e-12 relative, on the spectral route too
+RECURRENCE_CANCELS = pytest.mark.xfail(
+    strict=True, reason="upward recurrence loses up to 3e-12 at the series band's edge"
+)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.7, 0.95])
+@pytest.mark.parametrize("b", [4.0, 8.0, pytest.param(20.0, marks=RECURRENCE_CANCELS)])
+def test_many_integral_large_beta_against_oracle(a, b):
+    # past beta = alpha + 1 the s^(alpha-beta) singularity spoils the
+    # contour rule's discretisation (3e-2 at alpha = 0.7, beta = 8), so
+    # these batches must climb by the recurrence from beta <= alpha + 1
+    band = _integral_band(a, b)
+    xs = np.geomspace(band[0], band[-1], 40)
+    assert np.all(mlf._evaluate(a, b, -xs)[1] == mlf._INTEGRAL)
+    vals = eval_ml_many(a, b, -xs)
+    for x, v in zip(xs, vals):
+        x = float(x)
+        if 0.4343 * x ** (1.0 / a) <= 20.0:
+            want = _series_oracle(a, b, -x)
+        else:
+            want = _transform_oracle(a, b, x)
+        assert v == pytest.approx(want, rel=1e-12, abs=0.0), x
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.9, 0.9995])
+@pytest.mark.parametrize("db", [-0.7, 0.0, 0.5, 1.0])
+def test_contour_bound_dominates_its_error(a, db):
+    # the bound covers rounding only; over beta in (0, alpha + 1] the
+    # discretisation error must stay below it at every point it accepts
+    b = max(a + db, 0.02)
+    xs = np.geomspace(0.3, 40.0, 9)
+    vals, bound = mlf._contour(a, b, xs)
+    for x, v, bd in zip(xs, vals, bound):
+        if bd <= mlconstants.INTEGRAL_EPSREL:
+            want = _transform_oracle(a, b, float(x))
+            assert abs(v - want) <= bd * abs(want), (x, v, want, bd)
 
 
 def test_query_validation():
