@@ -115,14 +115,6 @@ class SampledFunction:
                 )
             object.__setattr__(self, "singular_exponent", s)
 
-    @classmethod
-    def from_callable(cls, grid: GradedGrid, fn, singular_exponent=None) -> "SampledFunction":
-        vals = np.array([float(fn(x)) for x in grid.nodes])
-        return cls(grid, vals, singular_exponent)
-
-    def with_values(self, values, singular_exponent=None) -> "SampledFunction":
-        return SampledFunction(self.grid, values, singular_exponent)
-
 
 def _cell_weights(nu: float, a, b, h, pa, pb):
     """Endpoint weights (t_left, t_right) of cells [t_j, t_j + h].

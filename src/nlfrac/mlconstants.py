@@ -2,18 +2,18 @@
 
 The evaluator picks between three strategies on the negative real axis:
 the defining power series (compensated summation), the algebraic
-asymptotic expansion, and an integral representation: a contour rule
-for the inverse Laplace transform, with the real spectral integral
-where the rule's rounding bound is too large.  The switch points below
-were frozen after a calibration sweep against a 40+ digit reference
-(mpmath series at adaptive precision, Talbot transform inversion where
-the series needs infeasible precision, cross-checked on alpha = 1/2
-against scipy.special.erfcx); the sweep script is tests/calibrate_mlf.py.  On its 1520-point grid (alpha in
-[0.05, 1], |z| <= 1e5, beta <= 2.5) the worst relative errors with these
-settings are 1.0e-11 (asymptotic), 3.2e-12 (series), 5.4e-14 (integral)
-and 1.3e-15 (alpha = 1 closed forms).  The contour rule serves 419 of the
-423 integral points; 4 fall back to the spectral integral.  The script
-exits nonzero when any regime exceeds the budget of 2e-11.
+asymptotic expansion, and a contour rule for the inverse Laplace
+transform, which near alpha = 1 integrates the difference from the
+alpha = 1 transform.  The switch points below were frozen after a
+calibration sweep against a 40+ digit reference (mpmath series at
+adaptive precision, Talbot transform inversion where the series needs
+infeasible precision, cross-checked on alpha = 1/2 against
+scipy.special.erfcx); the sweep script is tests/calibrate_mlf.py.  On
+its 1900-point grid (alpha in [0.05, 1] including 0.9999, |z| <= 1e5,
+0.02 <= beta <= 2.5) the worst relative errors with these settings are
+8.7e-14 (integral), 7.1e-14 (asymptotic), 3.2e-12 (series) and 1.4e-15
+(alpha = 1 closed forms).  The script exits nonzero when any regime
+exceeds the budget of 2e-11.
 
 Do not tune these per call site.  They encode a global accuracy budget:
 
@@ -21,9 +21,10 @@ Do not tune these per call site.  They encode a global accuracy budget:
   cancellation for z < 0; with compensated accumulation the floor is set
   by the 1-ulp error of each Gamma reciprocal, so the usable budget is
   a little over 5 digits regardless of accumulator width;
-* the asymptotic sum is accepted only when its smallest retained term
-  is small enough relative to the partial sum;
-* everything between falls to the integral representation.
+* the asymptotic sum is accepted only when its smallest retained term,
+  and for alpha > 2/3 the exponentials it drops, are small enough
+  relative to the partial sum;
+* everything between falls to the contour rule.
 """
 
 # series is attempted when the predicted cancellation (decimal digits,
@@ -50,16 +51,14 @@ SERIES_MAX_TERMS = 6000
 # the asymptotic expansion may be used only for |z| >= this
 ASYM_MIN_ABS_Z = 10.0
 
-# and is accepted only when (smallest term)/(partial sum) <= this
+# and is accepted only when (smallest term)/(partial sum), plus for
+# alpha > 2/3 the exponentials the expansion drops, is <= this
 ASYM_ACCEPT_REL = 1e-13
 
 ASYM_MAX_TERMS = 50
 
-# alpha = 1 closed forms: plain series below this |z| (3-digit
-# cancellation budget), transformed series or exact bracket above
-ALPHA_ONE_SERIES_ABS_Z = 7.0
-
-# alpha = 1, |z| beyond this goes to the exponential asymptotic form
+# alpha = 1: the series serves 0 < z <= this and the Kummer transform
+# -this <= z < 0; beyond, z goes to the asymptotic forms
 ALPHA_ONE_ASYM_ABS_Z = 600.0
 
 # positive z: series while 0.4343 * z**(1/alpha) stays below this
@@ -69,13 +68,9 @@ POSITIVE_SERIES_DIGITS_CAP = 280.0
 # exp() overflow threshold for the exponential asymptotic form
 EXP_ARG_MAX = 709.0
 
-# integral regime: the contour rule's value is kept where its rounding
-# bound is within INTEGRAL_EPSREL, and the spectral quadrature targets it
-INTEGRAL_EPSREL = 1e-12
-INTEGRAL_LIMIT = 400
-
-# above this alpha the integral route subtracts the complex pole of the
-# spectral denominator on a window around u0 = x cos(pi (1 - alpha)):
-# the Lorentzian there, of width about pi (1 - alpha) x, is then
-# narrower than adaptive quadrature resolves to INTEGRAL_EPSREL
-INTEGRAL_PINCH_ALPHA = 0.999
+# above this alpha the contour rule integrates the difference from the
+# alpha = 1 transform and adds E_{1,beta} back: closer to alpha = 1 its
+# plain terms cancel (1.7e-12 at alpha = 0.999, 1.2e-8 at 0.9999999),
+# while far below it the added value can dwarf the result it cancels
+# into (2.5e-11 at alpha = 0.15 with subtraction at every alpha)
+CONTOUR_SUBTRACT_ALPHA = 0.99

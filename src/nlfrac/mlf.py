@@ -10,34 +10,25 @@ alpha >= 0.05, switching between three regimes on the negative axis:
 * power series with compensated summation while predicted
   cancellation stays within a ~5 digit budget,
 * algebraic asymptotic expansion, truncated at its smallest term, once
-  |z| is large and the truncation estimate clears 1e-13,
+  |z| is large and the truncation estimate, with the exponentials the
+  expansion drops for alpha > 2/3, clears 1e-13,
 * otherwise the integral regime.  A trapezoid rule on a parabolic
   Hankel contour inverts the Laplace transform s^(a-b) / (s^a + x) at
   all of its points at once, with fixed nodes, and reports each
   point's rounding bound 2 eps sum_k |F_k| / |E| over its terms F_k.
-  The rule serves 0 < b <= a + 1; larger beta is reached by the upward
+  Above CONTOUR_SUBTRACT_ALPHA, where those terms cancel, the rule
+  inverts the difference from the alpha = 1 transform s^(1-b) / (s + x)
+  in a form that does not cancel and adds back E_{1,b}(-x).  The rule
+  serves 0 < b <= a + 1; larger beta is reached by the upward
   recurrence E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z from the
-  rule's values.  A point whose bound exceeds INTEGRAL_EPSREL, which
-  happens where the value cancels among the terms near alpha = 1 with
-  beta <= 1, falls back alone to a real spectral integral, written in
-  u = r^alpha,
+  rule's values.  Every integral-regime point keeps the rule's value.
 
-      E_{a,b}(-x) = (1/(pi a)) * int_0^inf exp(-u^(1/a)) u^((1-b)/a)
-                    * [u sin(pi b) + x sin(pi (b-a))]
-                    / ((u - u0)^2 + h^2) du,
-      u0 + i h = x e^{i pi (1-a)},
-
-  valid for 0 < a < 1, 0 < b <= a + 1, x > 0, by adaptive quadrature
-  and the same recurrence.  The denominator peaks at u0 with width h;
-  above INTEGRAL_PINCH_ALPHA that peak is too narrow for adaptive
-  quadrature, and the complex pole is subtracted on a window around u0
-  and added back in closed form.
-
-alpha = 1 uses exp(z) at beta = 1, otherwise the series, its Kummer
-transform on the negative axis and the asymptotic forms.  Positive
-arguments take the series where it converges and the exponential
-asymptotic E ~ (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)) beyond;
-values overflow to inf where the true result exceeds the double range.
+alpha = 1 uses exp(z) at beta = 1, otherwise the series on the positive
+axis, its Kummer transform on the negative axis and the asymptotic
+forms.  Positive arguments take the series where it converges and the
+exponential asymptotic E ~ (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha))
+beyond; values overflow to inf where the true result exceeds the double
+range.
 
 The series and Kummer sums build their terms as a (terms x points)
 table: running products by np.cumprod, each point's stopping rule
@@ -53,9 +44,7 @@ Also here: the weighted kernel h(x) = x^(gamma_w - 1) E_{alpha,beta}
 
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +91,6 @@ def reciprocal_gamma(x: float) -> float:
         return 1.0 / math.gamma(x)
     # underflows cleanly to 0.0 for large x
     return math.exp(-math.lgamma(x))
-
-
-def _sinpi(t: float) -> float:
-    """sin(pi t), exact zeros at integer t."""
-    m = round(t)
-    s = math.sin(math.pi * (t - m))
-    return s if m % 2 == 0 else -s
 
 
 @dataclass(frozen=True)
@@ -300,12 +282,13 @@ def _series_batch(alpha, beta, z):
 
 
 def _kummer_batch(beta, x):
-    """E_{1,beta}(-x) for x in (ALPHA_ONE_SERIES_ABS_Z, ALPHA_ONE_ASYM_ABS_Z].
+    """E_{1,beta}(-x) for x in (0, ALPHA_ONE_ASYM_ABS_Z].
 
     Kummer transform: E_{1,b}(-x) = e^-x [1 + (b-1) S] / Gamma(b),
     S = sum_{k>=1} t_k, t_k = q_k / (b+k-1), q_k = x^k / k!, all terms
-    one sign.  A point's sum ends at the first k with t_k < 1e-18 S_k
-    and q_k < 1e-18 max(1, S_k), S_k its running sum.
+    one sign, so unlike the plain series it does not cancel as x grows.
+    A point's sum ends at the first k with t_k < 1e-18 S_k and
+    q_k < 1e-18 max(1, S_k), S_k its running sum.
     """
     tiny = 1e-18
     log_tiny = math.log(tiny)
@@ -314,7 +297,7 @@ def _kummer_batch(beta, x):
         def stops(i):
             k = i + 1.0
             lq = k * math.log(r) - gammaln(k + 1.0)
-            lt = lq - np.log(beta + k - 1.0)
+            lt = lq - np.log(beta + i)
             ls = np.logaddexp.accumulate(lt)
             return (lt < log_tiny + ls) & (lq < log_tiny + np.maximum(ls, 0.0))
 
@@ -323,7 +306,9 @@ def _kummer_batch(beta, x):
     def sweep(xb, rows):
         k = np.arange(1.0, rows + 1.0)[:, None]
         q = np.cumprod(xb / k, axis=0)
-        t = q / (beta + k - 1.0)
+        # beta + (k - 1), not (beta + k) - 1, which drops the low bits of
+        # a small beta: 8e-15 relative on t_1 = x / beta at beta = 0.014
+        t = q / (beta + (k - 1.0))
         s = np.cumsum(t, axis=0)
         hit = (t < tiny * s) & (q < tiny * np.maximum(1.0, s))
         last = np.where(hit.any(axis=0), hit.argmax(axis=0), rows - 1)
@@ -382,118 +367,12 @@ def _asymptotic_batch(alpha, beta, z):
     return vals, rel
 
 
-def _spectral(alpha, beta, x):
-    """E_{alpha,beta}(-x) from its spectral integral, 0 < alpha < 1.
-
-    In u = r^alpha the representation reads
-
-        E = (1/pi) int_0^inf psi(u) (u sin(pi b) + x sin(pi(b-a))) / D du,
-        psi(u) = exp(-u^(1/a)) u^p / a,  p = (1-b)/a,
-        D = (u - u0)^2 + h^2,  u0 + i h = w = x e^{i pi (1-a)}.
-
-    For alpha > 1/2 the Lorentzian 1/D peaks at u0 > 0 with width h;
-    past the cut c below, u0 is a quadrature breakpoint.  As alpha -> 1, h ~
-    pi (1-a) x becomes narrower than adaptive quadrature resolves to
-    1e-12, so above INTEGRAL_PINCH_ALPHA the pole is taken out.
-    Because sin(pi b) w + x sin(pi(b-a)) = -x sin(pi a) e^{-i pi b}, the
-    integral equals -(1/pi) Im[e^{-i pi b} int psi(u) / (u - w) du],
-    whose pole w sits h above the axis.  On the window [u1, u2] =
-    [u0/2, 2 u0] it is subtracted,
-
-        int psi/(u-w) = int (psi(u) - psi(w))/(u-w) du + psi(w) log((u2-w)/(u1-w)),
-
-    which leaves a smooth integrand.  Elsewhere the real form above is
-    integrated as it stands, so its small factors sin(pi b) and
-    sin(pi(b-a)) stay explicit.  On [0, c] the constant part of the
-    integrand at u = 0 is integrated in closed form against u^p, which
-    keeps the pole of u^p at beta = alpha + 1 finite (its 1/delta
-    cancels against sin(pi(b-a)) = sin(pi delta)), and the rest goes to
-    QAWS with the weight u^(p+1).  c = min(1, u0/2) with the window and
-    c = 1 without: near alpha = 1/2, u0 is rounding dust, and a cut at
-    u0/2 would leave the u^p singularity to the plain quadrature.
-
-    The window needs alpha > 2/3: below, |psi(w)| grows like
-    exp(x^(1/a) |cos(pi (1-a)/a)|) and the subtraction cancels
-    catastrophically.
-
-    Preconditions: 0 < alpha < 1, 0 < beta <= alpha + 1 (+slack), x > 0.
-    """
-    from scipy.integrate import quad
-
-    ia = 1.0 / alpha
-    # 1 + alpha - beta, exact when beta - alpha lies in [1/2, 2]
-    delta = 1.0 - (beta - alpha)
-    dp = delta * ia
-    p = dp - 1.0
-    th = math.pi * (1.0 - alpha)
-    u0 = x * math.cos(th)
-    h = x * math.sin(th)
-    sb = _sinpi(beta)
-    cb = math.cos(math.pi * beta)
-    sba = _sinpi(beta - alpha)
-
-    def den(u):
-        d = u - u0
-        return d * d + h * h
-
-    def psi(u):
-        return math.exp(-(u**ia)) * u**p / alpha
-
-    def direct(u):
-        return psi(u) * (u * sb + x * sba) / den(u)
-
-    def near_zero(u):
-        # (phi(u) - phi(0)) / u for phi = direct / u^p, without cancellation
-        u = max(u, 1e-300)
-        dn = den(u)
-        ex = math.expm1(-(u**ia)) / u
-        return (ex * (u * sb + x * sba) / dn + (x * sb + sba * (2.0 * u0 - u)) / (x * dn)) / alpha
-
-    def _quad(f, lo, hi, **kw):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, _err = quad(
-                f, lo, hi, limit=C.INTEGRAL_LIMIT, epsabs=0.0, epsrel=C.INTEGRAL_EPSREL, **kw
-            )
-        return val
-
-    pinched = alpha > C.INTEGRAL_PINCH_ALPHA
-    u1 = 0.5 * u0
-    u2 = 2.0 * u0
-    c = min(1.0, u1) if pinched else 1.0
-    total = _quad(near_zero, 0.0, c, weight="alg", wvar=(dp, 0.0))
-    if pinched:
-        if u1 > c:
-            total += _quad(direct, c, u1)
-        w = complex(u0, h)
-        pw = cmath.exp(-(w**ia)) * w**p / alpha
-        pr = pw.real
-        pim = pw.imag
-
-        def window(u):
-            d = u - u0
-            return ((psi(u) - pr) * (sb * d - cb * h) + pim * (sb * h + cb * d)) / den(u)
-
-        total += _quad(window, u1, u2, points=[u0])
-        lr = 0.5 * math.log(den(u2) / den(u1))
-        li = math.pi - math.atan(h / (u2 - u0)) - math.atan(h / (u0 - u1))
-        total += sb * (pr * lr - pim * li) - cb * (pr * li + pim * lr)
-    elif u2 > c:
-        total += _quad(direct, c, u2, points=[u0] if u0 > c else None)
-    total += _quad(direct, max(c, u2), math.inf)
-
-    # int_0^c u^p phi(0) du = sin(pi(b-a)) c^dp / (x delta), where
-    # sin(pi(b-a)) = sin(pi delta) -> 0 with delta
-    ratio = 1.0 if delta == 0.0 else sba / (math.pi * delta)
-    return total / math.pi + ratio * c**dp / x
-
-
 def _base(alpha, beta):
     """(b, m) with beta = b + m alpha and b <= alpha + 1.
 
     b is where the upward recurrence E_{a,b+a}(z) = (E_{a,b}(z) -
     1/Gamma(b)) / z starts; m = 0 when beta itself is in reach of the
-    integral routes.
+    contour rule.
     """
     if beta <= alpha + 1.0 + 1e-12:
         return beta, 0
@@ -509,12 +388,6 @@ def _climb(alpha, b, m, x, v):
     return v
 
 
-def _integral(alpha, beta, x):
-    """E_{alpha,beta}(-x) by the spectral integral, any beta > 0."""
-    b, m = _base(alpha, beta)
-    return _climb(alpha, b, m, x, _spectral(alpha, b, x))
-
-
 def _contour(alpha, beta, x):
     """E_{alpha,beta}(-x) and its rounding bound at an array of x > 0.
 
@@ -526,15 +399,27 @@ def _contour(alpha, beta, x):
     the real parts of the terms F_k at u_k = k h, k >= 0, those past
     u = 0 counted twice, for all points at once.
 
-    The bound is 2 eps sum_k |F_k| / |E|.  Against 40-digit terms at the
-    same nodes, over alpha in [0.05, 0.9999], beta in (0, alpha + 1] and
-    x in [0.25, 60], the terms carry at most 1.2 eps sum_k |F_k| of
-    rounding, and the sum adds at most eps/2 |E|.  The bound covers
-    rounding only.  The discretisation error comes from s^(a-b) at
-    s = 0 (u = i) and grows with b - a: at alpha = 0.7, beta = 8 it is
-    3e-2 while the bound reads 1e-11.  So the rule serves the base b of
-    _base, and _climb takes it to beta; the base's absolute rounding
-    bound shrinks by x^m on the way.
+    Above CONTOUR_SUBTRACT_ALPHA the value cancels among the terms: near
+    alpha = 1 the transform is close to s^(1-b) / (s + x), whose pole at
+    s = -x sits on the branch cut.  There the rule integrates the
+    difference from that alpha = 1 transform,
+
+        s^(a-b) / (s^a + x) - s^(1-b) / (s + x)
+            = -x s^(a-b) expm1((1-a) log s) / ((s^a + x)(s + x)),
+
+    written so that nothing cancels as alpha -> 1, and adds back its
+    inverse E_{1,b}(-x) from the alpha = 1 routes before climbing.
+
+    The bound is 2 eps sum_k |F_k| / |E|, plus the rounding of E_1 where
+    it is added back.  Against 40-digit terms at the same nodes, over
+    alpha in [0.05, 0.9999], beta in (0, alpha + 1] and x in [0.25, 60],
+    the terms carry at most 1.2 eps sum_k |F_k| of rounding, and the sum
+    adds at most eps/2 |E|.  The bound covers rounding only.  The
+    discretisation error comes from s^(a-b) at s = 0 (u = i) and grows
+    with b - a: at alpha = 0.7, beta = 8 it is 3e-2 while the bound reads
+    1e-11.  So the rule serves the base b of _base, and _climb takes it
+    to beta; the base's absolute rounding bound shrinks by x^m on the
+    way.
     """
     # mu = 1/2 puts the contour's crossing of the real axis at s = 1/2,
     # so |e^s| <= e^(1/2) on it and rounding is not amplified (the
@@ -551,14 +436,29 @@ def _contour(alpha, beta, x):
     c = (h * mu / math.pi) * np.exp(s + (alpha - b) * log_s) * (1.0 + 1j * u)
     c[1:] *= 2.0
     q = np.exp(alpha * log_s)
-    # F_k = c_k / (q_k + x), in real arithmetic
-    d = q.real[:, None] + x
-    den = d * d + (q.imag**2)[:, None]
-    base = _compensated_sum((c.real[:, None] * d + (c.imag * q.imag)[:, None]) / den)
-    spread = 2.0 * np.finfo(float).eps * _compensated_sum(np.abs(c)[:, None] / np.sqrt(den))
+    if alpha > C.CONTOUR_SUBTRACT_ALPHA:
+        # F_k = -x c_k expm1((1-a) log s_k) / ((q_k + x)(s_k + x))
+        f = (-c * np.expm1((1.0 - alpha) * log_s))[:, None] / (
+            (q[:, None] + x) * (s[:, None] / x + 1.0)
+        )
+        one = _evaluate(1.0, b, -x)[0]
+        # E_1 = e^-x (1 + (b-1) S) / Gamma(b) by the Kummer sum (S > 0)
+        # carries rounding from the size of its parts, |E_1| for b >= 1
+        # but 2 e^-x / Gamma(b) - E_1 below, and its running products add
+        # about sqrt(x) eps at their peak near term x: at most 3.5, 7.8
+        # and 30 eps times that size for x up to 10, 60 and 600
+        size = np.abs(one) if b >= 1.0 else 2.0 * np.exp(-x) * reciprocal_gamma(b) - one
+        base = _compensated_sum(f.real.copy()) + one
+        spread = _compensated_sum(np.abs(f)) + (2.0 + np.sqrt(x)) * size
+    else:
+        # F_k = c_k / (q_k + x), in real arithmetic
+        d = q.real[:, None] + x
+        den = d * d + (q.imag**2)[:, None]
+        base = _compensated_sum((c.real[:, None] * d + (c.imag * q.imag)[:, None]) / den)
+        spread = _compensated_sum(np.abs(c)[:, None] / np.sqrt(den))
     v = _climb(alpha, b, m, x, base)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return v, spread / (np.abs(v) * x**m)
+        return v, 2.0 * np.finfo(float).eps * spread / (np.abs(v) * x**m)
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +478,18 @@ def _evaluate(alpha, beta, z):
     left = z != 0.0
     val[~left] = reciprocal_gamma(beta)
     if alpha == 1.0:
-        band = (ax <= C.ALPHA_ONE_SERIES_ABS_Z) | ((z > 0.0) & (z <= C.ALPHA_ONE_ASYM_ABS_Z))
-        digits_cap = math.inf
+        band = (z > 0.0) & (z <= C.ALPHA_ONE_ASYM_ABS_Z)
     else:
         with np.errstate(over="ignore"):
             predicted = _LOG10E * ax ** (1.0 / alpha)
         band = predicted <= np.where(
             z < 0.0, C.SERIES_PREDICTED_DIGITS_CAP, C.POSITIVE_SERIES_DIGITS_CAP
         )
-        digits_cap = C.SERIES_REALISED_DIGITS_CAP
 
     idx = np.flatnonzero(band & left)
     if idx.size:
         v, converged, digits = _series_batch(alpha, beta, z[idx])
-        ok = converged & ((z[idx] > 0.0) | (digits <= digits_cap))
+        ok = converged & ((z[idx] > 0.0) | (digits <= C.SERIES_REALISED_DIGITS_CAP))
         idx = idx[ok]
         val[idx] = v[ok]
         code[idx] = _SERIES
@@ -619,6 +517,19 @@ def _evaluate(alpha, beta, z):
     idx = np.flatnonzero(left & (ax >= C.ASYM_MIN_ABS_Z))
     if idx.size:
         v, rel = _asymptotic_batch(alpha, beta, z[idx])
+        if alpha > 2.0 / 3.0:
+            # the expansion drops the exponentials (1/alpha) Z^(1-beta) e^Z
+            # at Z = X e^(+-i pi/alpha), X = x^(1/alpha), which for
+            # alpha > 2/3 decay only like e^(X cos(pi/alpha)) with
+            # cos(pi/alpha) -> -1 as alpha -> 1
+            lx = np.log(ax[idx]) / alpha
+            # X overflows for |z| past ~1e200 and v can be 0, where the
+            # estimate is inf or nan and rejects the point
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                rel = rel + np.exp(
+                    math.log(2.0 / alpha) + (1.0 - beta) * lx
+                    + np.exp(lx) * math.cos(math.pi / alpha) - np.log(np.abs(v))
+                )
         ok = rel <= C.ASYM_ACCEPT_REL
         idx = idx[ok]
         val[idx] = v[ok]
@@ -627,10 +538,7 @@ def _evaluate(alpha, beta, z):
     idx = np.flatnonzero(left)
     code[idx] = _INTEGRAL
     if idx.size:
-        v, bound = _contour(alpha, beta, ax[idx])
-        slow = ~(bound <= C.INTEGRAL_EPSREL)
-        v[slow] = [_integral(alpha, beta, float(x)) for x in ax[idx[slow]]]
-        val[idx] = v
+        val[idx] = _contour(alpha, beta, ax[idx])[0]
     return val, code
 
 
@@ -644,7 +552,7 @@ def eval_ml_info(q: MLQuery) -> tuple[float, str]:
 
     The labels are "series", "asymptotic", "integral" and
     "closed-form" (z = 0, exp(z) at alpha = beta = 1, and the Kummer
-    transform at alpha = 1).
+    transform for every z in [-ALPHA_ONE_ASYM_ABS_Z, 0) at alpha = 1).
     """
     val, code = _evaluate(q.alpha, q.beta, np.array([q.z]))
     return float(val[0]), _REGIME_LABELS[code[0]]
@@ -658,23 +566,21 @@ def eval_ml_many(alpha: float, beta: float, z) -> np.ndarray:
     Each regime serves all of its points at once:
 
     * z = 0: 1/Gamma(beta); at alpha = beta = 1, exp(z) everywhere;
-    * the series band, one table sweep: |z| <= ALPHA_ONE_SERIES_ABS_Z
-      and growth up to ALPHA_ONE_ASYM_ABS_Z at alpha = 1, otherwise
-      while the predicted cancellation (or, for z > 0, growth) stays
-      within its digit cap.  A point leaves it only when its sum did
-      not converge or, for z < 0 and alpha < 1, cancelled past
+    * the series band, one table sweep: 0 < z <= ALPHA_ONE_ASYM_ABS_Z at
+      alpha = 1, otherwise while the predicted cancellation (or, for
+      z > 0, growth) stays within its digit cap.  A point leaves it only
+      when its sum did not converge or, for z < 0, cancelled past
       SERIES_REALISED_DIGITS_CAP;
     * z > 0 beyond: the exponential asymptotic form;
-    * alpha = 1, z < 0 beyond: the Kummer sweep down to
-      -ALPHA_ONE_ASYM_ABS_Z, the batched asymptotic expansion below;
+    * alpha = 1, z < 0: the Kummer sweep down to -ALPHA_ONE_ASYM_ABS_Z,
+      the batched asymptotic expansion below;
     * alpha < 1, z <= -ASYM_MIN_ABS_Z: the batched asymptotic
-      expansion, kept where its truncation estimate is within
-      ASYM_ACCEPT_REL;
+      expansion, kept where its truncation estimate, plus for
+      alpha > 2/3 the exponentials it drops, is within ASYM_ACCEPT_REL;
     * the rest: the contour rule, one (nodes x points) table for the
       whole batch, directly for 0 < beta <= alpha + 1 and by upward
-      recurrence from it above.  A point whose rounding bound
-      2 eps sum_k |F_k| / |E| exceeds INTEGRAL_EPSREL takes the spectral
-      integral by adaptive quadrature, one point at a time.
+      recurrence from it above; above CONTOUR_SUBTRACT_ALPHA it adds
+      E_{1,beta} from the alpha = 1 routes to the rule's difference.
 
     A point's value does not depend on the batch it comes in.
     """

@@ -76,7 +76,7 @@ def oracle(alpha, beta, z):
 
 
 def main():
-    alphas = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0]
+    alphas = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999, 1.0]
     zmags = [0.1, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 12.0, 18.0, 30.0, 60.0, 200.0, 1e3, 1e4, 1e5]
     t0 = time.time()
     worst = {}
@@ -86,7 +86,7 @@ def main():
         # where argument-rounding error in the terms is at its worst
         edge = (3.0 / 0.4343) ** alpha
         mags = sorted(set(zmags) | {round(edge * f, 6) for f in (0.8, 0.99, 1.02)})
-        betas = sorted({0.3, 0.7, 1.0, round(alpha, 6), round(alpha + 1.0, 6), 1.7, 2.5})
+        betas = sorted({0.02, 0.3, 0.7, 1.0, round(alpha, 6), round(alpha + 1.0, 6), 1.7, 2.5})
         for beta in betas:
             for ax in mags:
                 z = -ax

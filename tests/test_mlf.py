@@ -221,6 +221,7 @@ def test_many_at_alpha_one_against_hypergeometric(rng, b):
 
 def test_info_labels():
     assert eval_ml_info(MLQuery(1.0, 0.6, -500.0))[1] == "closed-form"
+    assert eval_ml_info(MLQuery(1.0, 0.6, -5.0))[1] == "closed-form"
     assert eval_ml_info(MLQuery(1.0, 0.6, 300.0))[1] == "series"
     assert eval_ml_info(MLQuery(1.0, 0.6, -5000.0))[1] == "asymptotic"
     assert eval_ml_info(MLQuery(1.0, 1.0, -5000.0))[1] == "closed-form"
@@ -261,6 +262,16 @@ def test_alpha_one_growth_against_hypergeometric(b, z):
     assert eval_ml_many(1.0, b, np.array([z]))[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("b", [0.02, 0.3, 1.0 - 1e-7, 1.0 + 1e-7, 1.5])
+@pytest.mark.parametrize("x", [5.0, 6.3, 6.9])
+def test_alpha_one_small_negative_against_hypergeometric(b, x):
+    # the Kummer sum's terms have one sign, while the plain series
+    # cancels by about 3 digits near x = 7
+    with mp.workdps(40):
+        want = float(mp.hyp1f1(1, b, -x) * mp.rgamma(b))
+    assert eval_ml(MLQuery(1.0, b, -x)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("z", [-1e17, -1e20])
 def test_alpha_one_integer_beta_far_out(z):
     # integer beta takes the same branches as any other beta; a closed
@@ -280,64 +291,71 @@ def _transform_oracle(a, b, x):
                                       method="talbot"))
 
 
-# just below alpha = 1 the spectral denominator pinches to a width of
-# about pi (1 - alpha) x; beta = alpha and beta = alpha + 1 are the two
-# cancellation edges of the representation
+def _contour_at(a, b, x):
+    return float(mlf._contour(a, b, np.array([x]))[0][0])
+
+
+# just below alpha = 1 the plain contour terms cancel, and the rule
+# subtracts the alpha = 1 transform; beta = alpha and beta = alpha + 1
+# are the edges of the rule's range
 @pytest.mark.parametrize("a", [0.9995, 0.99994, 0.9999999])
 @pytest.mark.parametrize("db", [0.0, 1e-5, 0.3, 1.0])
 @pytest.mark.parametrize("x", [1.5, 20.0, 300.0])
 def test_integral_near_alpha_one_against_transform(a, db, x):
     b = a + db
-    assert mlf._integral(a, b, x) == pytest.approx(_transform_oracle(a, b, x), rel=1e-12, abs=0.0)
+    assert _contour_at(a, b, x) == pytest.approx(_transform_oracle(a, b, x), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.7, 0.95, 0.99])
 def test_integral_against_oracle(a):
-    # beta = alpha and beta -> alpha + 1 are the cancellation edges of the
-    # spectral representation; the series oracle is used where its
-    # cancellation stays well inside its 80 digits
+    # beta = alpha and beta -> alpha + 1 are the edges of the contour
+    # rule's range; the series oracle is used where its cancellation stays
+    # well inside its 80 digits
     for b in (a, 1.0, a + 1.0 - 1e-6, a + 1.0):
         for x in (0.7, 4.0, 30.0):
             if 0.4343 * x ** (1.0 / a) <= 20.0:
                 want = _series_oracle(a, b, -x)
             else:
                 want = _transform_oracle(a, b, x)
-            assert mlf._integral(a, b, x) == pytest.approx(want, rel=1e-11, abs=0.0), (b, x)
+            assert _contour_at(a, b, x) == pytest.approx(want, rel=1e-11, abs=0.0), (b, x)
 
 
-@pytest.mark.parametrize("a", [0.7, 0.8, 0.95, 0.99])
-@pytest.mark.parametrize("b", [0.2, 1.0, 1.5])
-def test_pinched_route_matches_plain_route(monkeypatch, a, b):
-    # where the pinch is wide the plain quadrature resolves it too; below
-    # alpha = 2/3 psi(w) grows with x and the pole subtraction does not apply
-    b = min(b, a + 1.0)
-    xs = (0.7, 4.0, 30.0)
-    plain = [mlf._integral(a, b, x) for x in xs]
-    monkeypatch.setattr(mlconstants, "INTEGRAL_PINCH_ALPHA", 0.5)
-    for x, want in zip(xs, plain):
-        assert mlf._integral(a, b, x) == pytest.approx(want, rel=1e-11, abs=0.0)
+# (alpha, beta, x) near zeros of E at small beta, where the series'
+# realised cancellation sends the point to the integral regime
+SMALL_BETA_INTEGRAL_POINTS = [
+    (0.885411969589, 0.022225343502999984, 0.024585849618556994),
+    (0.673590346774, 0.08706885595299996, 0.13148986301726967),
+    (0.919303626284, 0.03623070232400005, 0.03963890320997197),
+    (0.972250577004, 0.17840243540199996, 0.21777406161445534),
+    (0.779263952829, 0.106772500258, 0.14404768821780753),
+]
 
 
-def test_many_near_alpha_one_is_accurate_and_falls_back_sparingly():
+@pytest.mark.parametrize("a,b,x", SMALL_BETA_INTEGRAL_POINTS)
+def test_integral_small_beta_near_zeros_against_oracle(a, b, x):
+    val, regime = eval_ml_info(MLQuery(a, b, -x))
+    assert regime == "integral"
+    assert val == pytest.approx(_series_oracle(a, b, -x), rel=2e-11, abs=0.0)
+
+
+def test_many_near_alpha_one_is_accurate():
     a = 0.99994
     xs = -0.92 * np.geomspace(1e-3, 1e3, 2000) ** a
-    calls = []
-    integral = mlf._integral
-
-    def counted(*args):
-        calls.append(args)
-        return integral(*args)
-
-    mlf._integral = counted
-    try:
-        vals = eval_ml_many(a, 1.0, xs)
-    finally:
-        mlf._integral = integral
-    # the value cancels among the contour terms here, and the points whose
-    # rounding bound misses INTEGRAL_EPSREL take the spectral quadrature
-    assert 0 < len(calls) < 200
+    vals = eval_ml_many(a, 1.0, xs)
     for i in range(0, xs.size, 167):
-        assert vals[i] == pytest.approx(_transform_oracle(a, 1.0, -xs[i]), rel=1e-10, abs=0.0)
+        assert vals[i] == pytest.approx(_transform_oracle(a, 1.0, -xs[i]), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a,b", [(0.9999, 1.9999), (0.9999999, 2.0)])
+def test_asymptotic_near_alpha_one_counts_the_dropped_exponentials(a, b):
+    # (2/alpha) X^(1-beta) e^(X cos(pi/alpha)), X = x^(1/alpha), is left
+    # out of the algebraic expansion; near alpha = 1 it decays only like
+    # e^-X, so its truncation estimate alone accepts too early
+    for x in np.linspace(10.0, 40.0, 16):
+        x = float(x)
+        assert eval_ml(MLQuery(a, b, -x)) == pytest.approx(
+            _series_oracle(a, b, -x), rel=1e-12, abs=0.0
+        ), x
 
 
 def _integral_band(a, b, lo=0.5, hi=40.0, n=400):
@@ -346,7 +364,7 @@ def _integral_band(a, b, lo=0.5, hi=40.0, n=400):
     return xs[mlf._evaluate(a, b, -xs)[1] == mlf._INTEGRAL]
 
 
-@pytest.mark.parametrize("a,b", [(0.6, 0.8), (0.3, 0.5), (0.9, 1.0), (0.05, 0.7)])
+@pytest.mark.parametrize("a,b", [(0.6, 0.8), (0.3, 0.5), (0.9, 1.0), (0.05, 0.7), (0.9999, 1.0)])
 def test_many_integral_points_do_not_depend_on_the_batch(a, b):
     zs = -_integral_band(a, b)
     assert zs.size >= 80
@@ -381,16 +399,17 @@ def test_many_integral_large_beta_against_oracle(a, b):
         assert v == pytest.approx(want, rel=1e-12, abs=0.0), x
 
 
-@pytest.mark.parametrize("a", [0.05, 0.5, 0.9, 0.9995])
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.9, 0.9995, 0.9999, 0.9999999])
 @pytest.mark.parametrize("db", [-0.7, 0.0, 0.5, 1.0])
 def test_contour_bound_dominates_its_error(a, db):
     # the bound covers rounding only; over beta in (0, alpha + 1] the
-    # discretisation error must stay below it at every point it accepts
+    # discretisation error must stay below it wherever it reads 1e-12 or
+    # less
     b = max(a + db, 0.02)
     xs = np.geomspace(0.3, 40.0, 9)
     vals, bound = mlf._contour(a, b, xs)
     for x, v, bd in zip(xs, vals, bound):
-        if bd <= mlconstants.INTEGRAL_EPSREL:
+        if bd <= 1e-12:
             want = _transform_oracle(a, b, float(x))
             assert abs(v - want) <= bd * abs(want), (x, v, want, bd)
 
