@@ -327,12 +327,19 @@ def _asymptotic_batch(alpha, beta, z):
     Individual |t_j| are useless for locating the optimal cut: whenever
     beta - j alpha falls within rounding distance of a Gamma pole the
     term dips to ~1e-20 of its neighbours, and treating that dip as
-    convergence silently drops the rest of the tail.
+    convergence silently drops the rest of the tail.  For the same
+    reason the cut never ends on a term whose coefficient is exactly
+    zero (beta - j alpha a pole, as for j = 1 at beta = alpha).
 
     The coefficients -1/Gamma(beta - j alpha) are formed once, and the
     terms of all points are built in a (terms x points) table.  A
     point's terms stop at the first p = z^-j that is zero or not
-    finite, or the first term that is not finite.  The retained terms
+    finite, or the first term that is not finite.  Where p underflowed
+    (|z| > 1e6 for that within the table), the tail shrinks by 1/|z|
+    per term, so its first term is the envelope at the last kept term;
+    it is 0 where that term underflows too.  The relative error is
+    taken against max(|sum|, smallest normal), so a sum below the
+    normal range is judged by its absolute error.  The retained terms
     are summed in order with Neumaier's compensation.
     """
     z = np.asarray(z, dtype=float)
@@ -348,8 +355,12 @@ def _asymptotic_batch(alpha, beta, z):
         mags = np.abs(terms)
         mags[rows >= count] = np.inf
         env = np.maximum(mags[:-1], mags[1:])
-        # with a single term, the envelope is that term alone
-        env[0] = np.where(count == 1, mags[0], env[0])
+        env[coef[:-1] == 0.0] = np.inf
+        # tails cut short by an underflowing p, which stays 0 from there
+        under = np.flatnonzero((p[-1] == 0.0) & (count > 0))
+        under = under[p[count[under], under] == 0.0]
+        last = count[under] - 1
+        env[last, under] = np.abs(coef[last + 1]) * np.abs(z[under]) ** -(last + 2.0)
         cut = np.argmin(env, axis=0)
         env_cut = env[cut, np.arange(z.size)]
         # a zero term leaves the compensated sum as it is
@@ -361,10 +372,8 @@ def _asymptotic_batch(alpha, beta, z):
             c = np.where(np.abs(s) >= np.abs(t), c + ((s - u) + t), c + ((t - u) + s))
             s = u
         total = s + c
-        empty = (count == 0) | (total == 0.0)
-        vals = np.where(empty, 0.0, total)
-        rel = np.where(empty, np.inf, env_cut / np.abs(total))
-    return vals, rel
+        rel = env_cut / np.maximum(np.abs(total), np.finfo(float).tiny)
+    return total, rel
 
 
 def _base(alpha, beta):
@@ -523,12 +532,14 @@ def _evaluate(alpha, beta, z):
             # alpha > 2/3 decay only like e^(X cos(pi/alpha)) with
             # cos(pi/alpha) -> -1 as alpha -> 1
             lx = np.log(ax[idx]) / alpha
-            # X overflows for |z| past ~1e200 and v can be 0, where the
-            # estimate is inf or nan and rejects the point
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # X overflows for |z| past ~1e200, where the exponent is -inf;
+            # as in _asymptotic_batch, a value below the normal range is
+            # judged by its absolute error
+            with np.errstate(over="ignore"):
                 rel = rel + np.exp(
                     math.log(2.0 / alpha) + (1.0 - beta) * lx
-                    + np.exp(lx) * math.cos(math.pi / alpha) - np.log(np.abs(v))
+                    + np.exp(lx) * math.cos(math.pi / alpha)
+                    - np.log(np.maximum(np.abs(v), np.finfo(float).tiny))
                 )
         ok = rel <= C.ASYM_ACCEPT_REL
         idx = idx[ok]

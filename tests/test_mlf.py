@@ -7,6 +7,7 @@ series summed where its convergence is certain.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -130,27 +131,36 @@ def test_regime_boundaries_are_continuous():
 def _asymptotic_loop(alpha, beta, z):
     """Per-point asymptotic expansion, the reference for mlf._asymptotic_batch.
 
-    The same stopping rules, two-term envelope cut and Neumaier sum,
-    one point at a time.
+    The same stopping rules, two-term envelope cut, underflow bound,
+    error floor and Neumaier sum, one point at a time.
     """
+    nterms = mlconstants.ASYM_MAX_TERMS
     zi = 1.0 / z
     p = 1.0
-    terms = []
-    for j in range(1, mlconstants.ASYM_MAX_TERMS + 1):
+    terms, coefs = [], []
+    underflow = False
+    for j in range(1, nterms + 1):
         p *= zi
-        if p == 0.0 or not math.isfinite(p):
+        if p == 0.0:
+            underflow = True
             break
-        t = -p * reciprocal_gamma(beta - j * alpha)
+        if not math.isfinite(p):
+            break
+        coef = -reciprocal_gamma(beta - j * alpha)
+        t = p * coef
         if not math.isfinite(t):
             break
         terms.append(t)
-    if not terms:
+        coefs.append(coef)
+    n = len(terms)
+    if n == 0:
         return 0.0, math.inf
-    mags = [abs(t) for t in terms]
-    if len(mags) == 1:
-        env = [mags[0]]
-    else:
-        env = [max(mags[i], mags[i + 1]) for i in range(len(mags) - 1)]
+    mags = [abs(t) for t in terms] + [math.inf]
+    env = [math.inf if coefs[i] == 0.0 else max(mags[i], mags[i + 1])
+           for i in range(min(n, nterms - 1))]
+    if underflow:
+        # the first dropped term, z^-(n+1) / Gamma(beta - (n+1) alpha)
+        env[n - 1] = abs(reciprocal_gamma(beta - (n + 1) * alpha)) * abs(z) ** -(n + 1.0)
     cut = min(range(len(env)), key=env.__getitem__)
     s = 0.0
     c = 0.0
@@ -162,9 +172,7 @@ def _asymptotic_loop(alpha, beta, z):
             c += (t - u) + s
         s = u
     total = s + c
-    if total == 0.0:
-        return 0.0, math.inf
-    return total, env[cut] / abs(total)
+    return total, env[cut] / max(abs(total), sys.float_info.min)
 
 
 # (0.5, 1.5) and (0.25, 2.0) put beta - j alpha on Gamma poles
@@ -183,6 +191,27 @@ def test_asymptotic_batch_matches_loop(rng, a, b):
     for z, v, r in zip(zs, vals, rel):
         want_v, want_r = _asymptotic_loop(a, b, float(z))
         assert (v, r) == (want_v, want_r)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.7, 0.99])
+@pytest.mark.parametrize("same", [False, True], ids=["beta1", "beta_alpha"])
+def test_asymptotic_far_beyond_double_powers(a, same):
+    # z^-2 and then z^-1 underflow; the expansion keeps the regime and
+    # its leading non-zero term, or a value below the normal range
+    b = a if same else 1.0
+    zs = np.array([-1e100, -1e160, -1e200, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, codes = mlf._evaluate(a, b, zs)
+    assert np.all(codes == mlf._ASYMPTOTIC)
+    for z, v in zip(zs, vals):
+        j = 2 if same else 1
+        with mp.workdps(30):
+            lead = float(-mp.mpf(float(z)) ** -j * mp.rgamma(mp.mpf(b) - j * mp.mpf(a)))
+        if abs(lead) >= sys.float_info.min:
+            assert v == pytest.approx(lead, rel=1e-14, abs=0.0)
+        else:
+            assert abs(v) <= 1e-300
 
 
 def test_many_against_oracle(rng):

@@ -17,10 +17,11 @@ from nlfrac import (
     quadrature_matrix,
     reduce_spec,
     residual,
+    solve_homogeneous,
     solve_relaxation,
 )
 
-from conftest import CAPUTO_1, TAXONOMY, TRULY_2L
+from conftest import CAPUTO_1, RL_1, TAXONOMY, TRULY_2L
 
 
 def _grid_for(spec, x_max=5.0, m=2048):
@@ -44,7 +45,6 @@ def test_zero_forcing_returns_homogeneous():
     res = picard_solve(p)
     assert res.converged
     assert res.iterations <= 2
-    from nlfrac import solve_homogeneous
     hom = solve_homogeneous(TRULY_2L, (1.0, 2.0))
     np.testing.assert_allclose(res.solution.values, hom.values(g.nodes), rtol=1e-12)
 
@@ -187,3 +187,54 @@ def test_rhs_registry():
         make_rhs("unknown", {})
     with pytest.raises(ParameterOutOfRangeError):
         make_rhs("linear", {"wrong": 1.0})
+
+
+# the picard benchmark pool's n = 1 spec
+POOL_SPEC = DerivativeSpec(1, 0.491507526320609, (0.33132878455898657,))
+POOL_Y = (0.8439610023310555,)
+
+
+def _pool_deviation(lam):
+    g = _grid_for(POOL_SPEC, x_max=2.0, m=2048)
+    p = VolterraProblem(POOL_SPEC, make_rhs("linear", {"c": -lam}), POOL_Y, g)
+    res = picard_solve(p)
+    ref = evaluate_solution_many(
+        solve_relaxation(RelaxationProblem(POOL_SPEC, lam, POOL_Y)), g.nodes)
+    mask = g.nodes >= 0.1
+    dev = np.max(np.abs(res.solution.values[mask] - ref[mask]))
+    return res, dev / np.max(np.abs(ref[mask]))
+
+
+@pytest.mark.parametrize("lam", [3.0, 5.0])
+def test_high_rates_converge_to_closed_form(lam):
+    # sweeps of the whole map stop unconverged here, and diverge at rate 5
+    res, dev = _pool_deviation(lam)
+    assert res.converged
+    assert dev <= 1e-5
+
+
+def test_very_high_rate_is_reported_honestly():
+    res, dev = _pool_deviation(10.0)
+    assert not res.converged or dev <= 1e-5
+
+
+@pytest.mark.parametrize("m", [2, 129, 300, 1000])
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+def test_march_matches_dense_solve(m, declared):
+    # forcing c y + b: the discrete solution solves (I - c W) y = hom + b W 1.
+    # Non-zero initial data give the homogeneous part a declared x^-0.4;
+    # zero data with a constant source leave the exponent undeclared.
+    c = -0.8
+    y, b = ((1.0,), 0.0) if declared else ((0.0,), 1.0)
+    g = _grid_for(RL_1, x_max=1.0, m=m)
+    p = VolterraProblem(RL_1, lambda x, v: c * v + b, y, g, tol=1e-12)
+    res = picard_solve(p)
+    assert res.converged
+    lead = res.solution.singular_exponent
+    assert (lead is not None) == declared
+    W = quadrature_matrix(RL_1.alpha, g, singular_exponent=lead)
+    hom = solve_homogeneous(RL_1, y)
+    hom_vals = np.zeros(m) if hom.is_zero else hom.values(g.nodes)
+    ref = np.linalg.solve(np.eye(m) - c * W, hom_vals + b * W.sum(axis=1))
+    dev = np.max(np.abs(res.solution.values - ref)) / np.max(np.abs(ref))
+    assert dev <= 1e-10
