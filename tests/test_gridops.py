@@ -3,10 +3,13 @@
 import math
 import sys
 import threading
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from nlfrac import gridops
 from nlfrac import (
     DerivativeSpec,
     GradedGrid,
@@ -172,6 +175,89 @@ def test_quadrature_matrix_shared_across_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def _reference_matrix(nu, x):
+    """The product-trapezoid rule from the exact kernel moments, in mpmath.
+
+    Cell [t_l, t_r] with A = x_i - t_l, B = x_i - t_r has moments
+    M0 = (A^nu - B^nu)/nu and M1 = A M0 - (A^(nu+1) - B^(nu+1))/(nu+1),
+    so its right end gets M1/h and its left end M0 - M1/h.  The first
+    cell [0, x_1] continues the data linearly through x_1 and x_2.
+    """
+    with mp.workdps(40):
+        nu = mp.mpf(nu)
+        xs = [mp.mpf(float(v)) for v in x]
+        m = len(xs)
+        s = xs[0] / (xs[1] - xs[0])
+        rg = 1 / mp.gamma(nu)
+        R = np.zeros((m, m))
+        for i, xi in enumerate(xs):
+            row = [mp.mpf(0)] * m
+            ends = [mp.mpf(0)] + xs[: i + 1]
+            for c in range(i + 1):
+                A, B = xi - ends[c], xi - ends[c + 1]
+                h = ends[c + 1] - ends[c]
+                m0 = (A**nu - B**nu) / nu
+                m1 = A * m0 - (A ** (nu + 1) - B ** (nu + 1)) / (nu + 1)
+                left, right = m0 - m1 / h, m1 / h
+                row[c] += right
+                if c == 0:
+                    row[0] += (1 + s) * left
+                    row[1] -= s * left
+                else:
+                    row[c - 1] += left
+            R[i] = [float(v * rg) for v in row]
+    return R
+
+
+@pytest.mark.parametrize("m", [12, 40])
+@pytest.mark.parametrize("order", [0.3, 0.6, 1.0, 1.7])
+@pytest.mark.parametrize("r", [1.0, 2.5, 6.0])
+def test_quadrature_matrix_against_exact_moments(m, order, r):
+    g = GradedGrid(2.0, m, r)
+    R = _reference_matrix(order, g.nodes)
+    W = quadrature_matrix(order, g)
+    assert np.max(np.abs(W - R)) <= 1e-12 * np.max(np.abs(R))
+
+
+@pytest.mark.parametrize("m", [2, 3, 31, 32, 33, 65, 2048])
+@pytest.mark.parametrize("order", [0.3, 0.6, 1.0, 1.7])
+def test_quadrature_matrix_is_exact_on_affine_data(m, order):
+    # the rule interpolates linearly, and continues the first cell so
+    g = GradedGrid(2.0, m, 2.5)
+    x = g.nodes
+    a, b = 1.3, -0.7
+    terms = (a * x**order / math.gamma(order + 1.0),
+             b * x ** (order + 1.0) / math.gamma(order + 2.0))
+    got = quadrature_matrix(order, g) @ (a + b * x)
+    assert np.all(np.abs(got - (terms[0] + terms[1]))
+                  <= 1e-13 * (np.abs(terms[0]) + np.abs(terms[1])))
+
+
+@pytest.mark.parametrize("m", [2, 3, 31, 32, 33, 65, 2048])
+@pytest.mark.parametrize("order", [0.3, 0.6, 1.0, 1.7])
+@pytest.mark.parametrize("sigma", [-0.3, -0.8])
+def test_quadrature_matrix_is_exact_on_declared_power(m, order, sigma):
+    g = GradedGrid(2.0, m, 2.5)
+    x = g.nodes
+    want = math.gamma(sigma + 1.0) / math.gamma(sigma + 1.0 + order) * x ** (sigma + order)
+    got = quadrature_matrix(order, g, singular_exponent=sigma) @ x**sigma
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_quadrature_matrix_assembly_memory(monkeypatch):
+    # the assembly works in row blocks through a few reused scratch
+    # arrays; whole-row temporaries would add tens of MB at this size
+    monkeypatch.setattr(gridops, "_last_matrix", None)
+    g = GradedGrid(5.0, 2048, 2.5)
+    tracemalloc.start()
+    try:
+        W = quadrature_matrix(0.6, g, singular_exponent=-0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - W.nbytes <= 8e6
 
 
 def test_declared_singularity_is_integrated_accurately():

@@ -122,6 +122,17 @@ def test_residual_after_solve_reuses_the_matrix(monkeypatch):
     assert r == pytest.approx(res.residual, rel=1e-12, abs=1e-15)
 
 
+def test_march_residual_matches_the_full_map():
+    # the residual is read off the march block by block; residual()
+    # applies the whole matrix, here across all sixteen blocks
+    g = _grid_for(TRULY_2L, x_max=5.0, m=2048)
+    p = VolterraProblem(TRULY_2L, make_rhs("logistic", {"a": 0.8, "b": 0.6}),
+                        (1.0, 0.5), g)
+    res = picard_solve(p)
+    assert res.converged
+    assert residual(p, res.solution) == pytest.approx(res.residual, rel=1e-12, abs=1e-15)
+
+
 def test_iteration_contracts_monotonically():
     spec = CAPUTO_1
     g = _grid_for(spec, x_max=1.0, m=1024)
