@@ -324,10 +324,12 @@ def _draw_truly_spec(rng, n: int, alpha_lo=0.05, alpha_hi=None) -> DerivativeSpe
     alpha = float(rng.uniform(alpha_lo, alpha_hi))
     gamma = [float(rng.uniform(0.0, 1.0 - alpha))]
     s = gamma[0]
+    # gamma_k in (k - 1 - alpha - s_{k-1}, 1) keeps alpha + s_k inside
+    # (k - 1, k]; draws keep margin of the interval's width from its ends,
+    # so the interval is never empty
     for k in range(2, n + 1):
-        lo = max(0.0, (k - 1) + margin - alpha - s)
-        hi = min(1.0 - margin, k - alpha - s)
-        g = float(rng.uniform(lo, hi))
+        lo = max(0.0, k - 1.0 - alpha - s)
+        g = float(lo + (1.0 - lo) * rng.uniform(margin, 1.0 - margin))
         gamma.append(g)
         s += g
     return DerivativeSpec(n, alpha, tuple(gamma))

@@ -25,23 +25,24 @@ machine-level residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
 
 from .errors import NlfracError, ParameterOutOfRangeError
+from .mlf import eval_weighted_many
 from .relax import (
     AsymptoticForm,
     CMReport,
     RelaxationProblem,
     asymptotic_form,
     cm_verdict,
-    evaluate_solution_many,
     solve_relaxation,
 )
-# reduce_spec and validate are not called here, but perfbench/tracing.py
-# wraps them under this module's name
+# evaluate_solution_many, reduce_spec and validate are not called here,
+# but perfbench/tracing.py wraps them under this module's name
+from .relax import evaluate_solution_many  # noqa: F401
 from .specparams import DerivativeSpec, reduce_spec, validate  # noqa: F401
 
 __all__ = [
@@ -82,9 +83,7 @@ def _problem(vec, n: int) -> RelaxationProblem:
 def _basis(prob: RelaxationProblem, xs: np.ndarray) -> np.ndarray:
     """Columns phi_k(xs): the terms of the solution with unit weights."""
     sol = solve_relaxation(prob)
-    return np.column_stack(
-        [evaluate_solution_many(replace(sol, terms=((1.0, q),)), xs) for _, q in sol.terms]
-    )
+    return np.column_stack([eval_weighted_many(q, xs) for _, q in sol.terms])
 
 
 def model_values(vec, n: int, xs: np.ndarray) -> np.ndarray:

@@ -7,21 +7,22 @@ point comes back with the regime that produced it.  The evaluator
 targets relative error 1e-10 for real z with |z| <= 1e5 and
 alpha >= 0.05, switching between three regimes on the negative axis:
 
-* power series with compensated summation while predicted
-  cancellation stays within a ~5 digit budget,
 * algebraic asymptotic expansion, truncated at its smallest term, once
   |z| is large and the truncation estimate, with the exponentials the
   expansion drops for alpha > 2/3, clears 1e-13,
-* otherwise the integral regime.  A trapezoid rule on a parabolic
-  Hankel contour inverts the Laplace transform s^(a-b) / (s^a + x) at
-  all of its points at once, with fixed nodes, and reports each
-  point's rounding bound 2 eps sum_k |F_k| / |E| over its terms F_k.
-  Above CONTOUR_SUBTRACT_ALPHA, where those terms cancel, the rule
-  inverts the difference from the alpha = 1 transform s^(1-b) / (s + x)
-  in a form that does not cancel and adds back E_{1,b}(-x).  The rule
-  serves 0 < b <= a + 1; larger beta is reached by the upward
+* for 0 < beta <= alpha + 1, every other point goes to the integral
+  regime.  A trapezoid rule on a parabolic Hankel contour inverts the
+  Laplace transform s^(a-b) / (s^a + x) at all of its points at once,
+  with fixed nodes.  Above CONTOUR_SUBTRACT_ALPHA, where its terms
+  cancel, the rule inverts the difference from the alpha = 1
+  transform s^(1-b) / (s + x) in a form that does not cancel and adds
+  back E_{1,b}(-x),
+* for beta > alpha + 1, the power series with compensated summation
+  while its predicted and realised cancellation stay within the digit
+  caps of mlconstants, and otherwise the integral regime: the upward
   recurrence E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z from the
-  rule's values.  Every integral-regime point keeps the rule's value.
+  rule's values at b <= a + 1.  The recurrence divides by z, so the
+  series keeps the small |z|.
 
 alpha = 1 uses exp(z) at beta = 1, otherwise the series on the positive
 axis, its Kummer transform on the negative axis and the asymptotic
@@ -216,13 +217,15 @@ def _compensated_sum(t):
 def _series_batch(alpha, beta, z):
     """Defining series at each point, with compensated summation.
 
-    Returns (values, converged, realised cancellation digits).  A sum
-    ends at the first term k >= 1 with |t_k| <= SERIES_TAIL_REL
-    max_{j<=k} |t_j|.  It has not converged when no term within
-    SERIES_MAX_TERMS meets that, or when a term overflows first; its
-    value is then nan.  At alpha = 1 the term is carried by the ratio
-    t_{k+1} = t_k z / (beta + k): z^k alone overflows near k = 134 at
-    z = 200, long before the terms peak at k ~ z.
+    Returns (values, converged, realised cancellation digits).  Only
+    points on the negative axis read the digits, and the series serves
+    those at beta > alpha + 1 alone.  A sum ends at the first term
+    k >= 1 with |t_k| <= SERIES_TAIL_REL max_{j<=k} |t_j|.  It has not
+    converged when no term within SERIES_MAX_TERMS meets that, or when a
+    term overflows first; its value is then nan.  At alpha = 1 the term
+    is carried by the ratio t_{k+1} = t_k z / (beta + k): z^k alone
+    overflows near k = 134 at z = 200, long before the terms peak at
+    k ~ z.
     """
     ratio = alpha == 1.0
     log_tail = math.log(C.SERIES_TAIL_REL)
@@ -340,7 +343,7 @@ def _asymptotic_batch(alpha, beta, z):
     it is 0 where that term underflows too.  The relative error is
     taken against max(|sum|, smallest normal), so a sum below the
     normal range is judged by its absolute error.  The retained terms
-    are summed in order with Neumaier's compensation.
+    are summed by _compensated_sum.
     """
     z = np.asarray(z, dtype=float)
     nterms = C.ASYM_MAX_TERMS
@@ -365,13 +368,7 @@ def _asymptotic_batch(alpha, beta, z):
         env_cut = env[cut, np.arange(z.size)]
         # a zero term leaves the compensated sum as it is
         terms[rows > cut] = 0.0
-        s = np.zeros_like(z)
-        c = np.zeros_like(z)
-        for t in terms[: int(cut.max(initial=0)) + 1]:
-            u = s + t
-            c = np.where(np.abs(s) >= np.abs(t), c + ((s - u) + t), c + ((t - u) + s))
-            s = u
-        total = s + c
+        total = _compensated_sum(terms[: int(cut.max(initial=0)) + 1])
         rel = env_cut / np.maximum(np.abs(total), np.finfo(float).tiny)
     return total, rel
 
@@ -398,15 +395,17 @@ def _climb(alpha, b, m, x, v):
 
 
 def _contour(alpha, beta, x):
-    """E_{alpha,beta}(-x) and its rounding bound at an array of x > 0.
+    """E_{alpha,beta}(-x) at an array of x > 0.
 
     A trapezoid rule in u on the parabola s(u) = mu (1 + i u)^2 inverts
     s^(a-b) / (s^a + x) at t = 1 (Weideman & Trefethen, Math. Comp. 76
     (2007) 1341; Garrappa, SIAM J. Numer. Anal. 53 (2015) 1350); for
     0 < alpha < 1 there is no pole on the principal sheet.  The integrand
-    is conjugate-symmetric in u, so the value is the compensated sum of
-    the real parts of the terms F_k at u_k = k h, k >= 0, those past
-    u = 0 counted twice, for all points at once.
+    is conjugate-symmetric in u, so the value is the sum of the real
+    parts of the terms F_k at u_k = k h, k >= 0, those past u = 0
+    counted twice, for all points at once.  The terms form a
+    (points x nodes) table and each point sums its own row, so a value
+    does not depend on the batch it comes in.
 
     Above CONTOUR_SUBTRACT_ALPHA the value cancels among the terms: near
     alpha = 1 the transform is close to s^(1-b) / (s + x), whose pole at
@@ -416,19 +415,16 @@ def _contour(alpha, beta, x):
         s^(a-b) / (s^a + x) - s^(1-b) / (s + x)
             = -x s^(a-b) expm1((1-a) log s) / ((s^a + x)(s + x)),
 
-    written so that nothing cancels as alpha -> 1, and adds back its
-    inverse E_{1,b}(-x) from the alpha = 1 routes before climbing.
+    written so that nothing cancels as alpha -> 1, sums it with
+    compensation, and adds back its inverse E_{1,b}(-x) from the
+    alpha = 1 routes before climbing.
 
-    The bound is 2 eps sum_k |F_k| / |E|, plus the rounding of E_1 where
-    it is added back.  Against 40-digit terms at the same nodes, over
-    alpha in [0.05, 0.9999], beta in (0, alpha + 1] and x in [0.25, 60],
-    the terms carry at most 1.2 eps sum_k |F_k| of rounding, and the sum
-    adds at most eps/2 |E|.  The bound covers rounding only.  The
-    discretisation error comes from s^(a-b) at s = 0 (u = i) and grows
-    with b - a: at alpha = 0.7, beta = 8 it is 3e-2 while the bound reads
-    1e-11.  So the rule serves the base b of _base, and _climb takes it
-    to beta; the base's absolute rounding bound shrinks by x^m on the
-    way.
+    The discretisation error comes from s^(a-b) at s = 0 (u = i) and
+    grows with b - a: at alpha = 0.7, beta = 8 it is 3e-2.  So the rule
+    serves the base b of _base, and _climb takes it to beta.  The terms
+    are of order one, so the relative rounding grows where |E| is
+    small: as beta -> 0, E(-x) -> 1/Gamma(beta) ~ beta at small x, and
+    the error reads 1e-12 at beta = 1e-4 and 8e-11 at beta = 1e-6.
     """
     # mu = 1/2 puts the contour's crossing of the real axis at s = 1/2,
     # so |e^s| <= e^(1/2) on it and rounding is not amplified (the
@@ -450,24 +446,17 @@ def _contour(alpha, beta, x):
         f = (-c * np.expm1((1.0 - alpha) * log_s))[:, None] / (
             (q[:, None] + x) * (s[:, None] / x + 1.0)
         )
-        one = _evaluate(1.0, b, -x)[0]
-        # E_1 = e^-x (1 + (b-1) S) / Gamma(b) by the Kummer sum (S > 0)
-        # carries rounding from the size of its parts, |E_1| for b >= 1
-        # but 2 e^-x / Gamma(b) - E_1 below, and its running products add
-        # about sqrt(x) eps at their peak near term x: at most 3.5, 7.8
-        # and 30 eps times that size for x up to 10, 60 and 600
-        size = np.abs(one) if b >= 1.0 else 2.0 * np.exp(-x) * reciprocal_gamma(b) - one
-        base = _compensated_sum(f.real.copy()) + one
-        spread = _compensated_sum(np.abs(f)) + (2.0 + np.sqrt(x)) * size
+        base = _compensated_sum(f.real.copy()) + _evaluate(1.0, b, -x)[0]
     else:
-        # F_k = c_k / (q_k + x), in real arithmetic
-        d = q.real[:, None] + x
-        den = d * d + (q.imag**2)[:, None]
-        base = _compensated_sum((c.real[:, None] * d + (c.imag * q.imag)[:, None]) / den)
-        spread = _compensated_sum(np.abs(c)[:, None] / np.sqrt(den))
-    v = _climb(alpha, b, m, x, base)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return v, 2.0 * np.finfo(float).eps * spread / (np.abs(v) * x**m)
+        # F_k = c_k / (q_k + x), in real arithmetic and in place
+        d = np.add.outer(x, q.real)
+        f = d * c.real
+        f += c.imag * q.imag
+        d *= d
+        d += q.imag**2
+        f /= d
+        base = f.sum(axis=1)
+    return _climb(alpha, b, m, x, base)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +480,13 @@ def _evaluate(alpha, beta, z):
     else:
         with np.errstate(over="ignore"):
             predicted = _LOG10E * ax ** (1.0 / alpha)
-        band = predicted <= np.where(
-            z < 0.0, C.SERIES_PREDICTED_DIGITS_CAP, C.POSITIVE_SERIES_DIGITS_CAP
+        # at beta <= alpha + 1 the series leaves all of z < 0 to the
+        # asymptotic expansion and the contour rule
+        climbs = _base(alpha, beta)[1] > 0
+        band = np.where(
+            z < 0.0,
+            climbs & (predicted <= C.SERIES_PREDICTED_DIGITS_CAP),
+            predicted <= C.POSITIVE_SERIES_DIGITS_CAP,
         )
 
     idx = np.flatnonzero(band & left)
@@ -549,7 +543,7 @@ def _evaluate(alpha, beta, z):
     idx = np.flatnonzero(left)
     code[idx] = _INTEGRAL
     if idx.size:
-        val[idx] = _contour(alpha, beta, ax[idx])[0]
+        val[idx] = _contour(alpha, beta, ax[idx])
     return val, code
 
 
@@ -561,9 +555,11 @@ def eval_ml(q: MLQuery) -> float:
 def eval_ml_info(q: MLQuery) -> tuple[float, str]:
     """Value together with the label of the regime that produced it.
 
-    The labels are "series", "asymptotic", "integral" and
-    "closed-form" (z = 0, exp(z) at alpha = beta = 1, and the Kummer
-    transform for every z in [-ALPHA_ONE_ASYM_ABS_Z, 0) at alpha = 1).
+    The labels are "series" (z > 0, and small |z| on the negative axis
+    only for beta > alpha + 1), "asymptotic", "integral" (every other
+    z < 0 at alpha < 1) and "closed-form" (z = 0, exp(z) at
+    alpha = beta = 1, and the Kummer transform for every z in
+    [-ALPHA_ONE_ASYM_ABS_Z, 0) at alpha = 1).
     """
     val, code = _evaluate(q.alpha, q.beta, np.array([q.z]))
     return float(val[0]), _REGIME_LABELS[code[0]]
@@ -578,18 +574,18 @@ def eval_ml_many(alpha: float, beta: float, z) -> np.ndarray:
 
     * z = 0: 1/Gamma(beta); at alpha = beta = 1, exp(z) everywhere;
     * the series band, one table sweep: 0 < z <= ALPHA_ONE_ASYM_ABS_Z at
-      alpha = 1, otherwise while the predicted cancellation (or, for
-      z > 0, growth) stays within its digit cap.  A point leaves it only
-      when its sum did not converge or, for z < 0, cancelled past
-      SERIES_REALISED_DIGITS_CAP;
+      alpha = 1, otherwise while the growth (z > 0) or, for
+      beta > alpha + 1 and z < 0, the predicted cancellation stays within
+      its digit cap.  A point leaves it only when its sum did not
+      converge or, for z < 0, cancelled past SERIES_REALISED_DIGITS_CAP;
     * z > 0 beyond: the exponential asymptotic form;
     * alpha = 1, z < 0: the Kummer sweep down to -ALPHA_ONE_ASYM_ABS_Z,
       the batched asymptotic expansion below;
     * alpha < 1, z <= -ASYM_MIN_ABS_Z: the batched asymptotic
       expansion, kept where its truncation estimate, plus for
       alpha > 2/3 the exponentials it drops, is within ASYM_ACCEPT_REL;
-    * the rest: the contour rule, one (nodes x points) table for the
-      whole batch, directly for 0 < beta <= alpha + 1 and by upward
+    * the rest of z < 0: the contour rule, one (points x nodes) table for
+      the whole batch, directly for 0 < beta <= alpha + 1 and by upward
       recurrence from it above; above CONTOUR_SUBTRACT_ALPHA it adds
       E_{1,beta} from the alpha = 1 routes to the rule's difference.
 
@@ -637,31 +633,29 @@ def is_cm_params(p: CMWeightedParams) -> bool:
 
 def eval_weighted(p: CMWeightedParams, x: float) -> float:
     """Value of x^(gamma_w-1) E_{alpha,beta}(-lam x^alpha) at x >= 0."""
-    x = float(x)
-    if x < 0.0:
-        raise ParameterOutOfRangeError(f"weighted kernel needs x >= 0, got {x:g}")
-    if x == 0.0:
-        if abs(p.gamma_w - 1.0) <= 1e-12:
-            return reciprocal_gamma(p.beta)
-        if p.gamma_w > 1.0:
-            return 0.0
-        raise EvaluationAtZeroUndefinedError(
-            f"x^(gamma_w-1) diverges at 0 for gamma_w = {p.gamma_w:g}"
-        )
-    e = _evaluate(p.alpha, p.beta, np.array([-p.lam * x**p.alpha]))[0][0]
-    return x ** (p.gamma_w - 1.0) * float(e)
+    return float(eval_weighted_many(p, np.array([float(x)]))[0])
 
 
 def eval_weighted_many(p: CMWeightedParams, x) -> np.ndarray:
-    """Vectorised eval_weighted over x >= 0; zeros take eval_weighted's limit."""
+    """x^(gamma_w-1) E_{alpha,beta}(-lam x^alpha) over an array of x >= 0.
+
+    At x = 0 the kernel takes its limit: 1/Gamma(beta) at gamma_w = 1
+    and 0 above; below, x^(gamma_w-1) diverges and the call raises.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0):
-        raise ParameterOutOfRangeError("batched weighted kernel needs x >= 0")
+        raise ParameterOutOfRangeError("weighted kernel needs x >= 0")
     zero = x == 0.0
+    out = np.empty_like(x)
     if zero.any():
-        out = np.full(x.shape, eval_weighted(p, 0.0))
-        if not zero.all():
-            out[~zero] = eval_weighted_many(p, x[~zero])
-        return out
-    e = eval_ml_many(p.alpha, p.beta, -p.lam * x**p.alpha)
-    return x ** (p.gamma_w - 1.0) * e
+        if abs(p.gamma_w - 1.0) <= 1e-12:
+            out[zero] = reciprocal_gamma(p.beta)
+        elif p.gamma_w > 1.0:
+            out[zero] = 0.0
+        else:
+            raise EvaluationAtZeroUndefinedError(
+                f"x^(gamma_w-1) diverges at 0 for gamma_w = {p.gamma_w:g}"
+            )
+    xs = x[~zero]
+    out[~zero] = xs ** (p.gamma_w - 1.0) * eval_ml_many(p.alpha, p.beta, -p.lam * xs**p.alpha)
+    return out

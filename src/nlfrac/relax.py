@@ -30,7 +30,6 @@ from .errors import ParameterOutOfRangeError
 from .gridops import GradedGrid, SampledFunction, default_grading_exponent, laplace_numeric
 from .mlf import (
     CMWeightedParams,
-    eval_weighted,
     eval_weighted_many,
     reciprocal_gamma,
 )
@@ -185,7 +184,7 @@ def evaluate_solution(sol: RelaxationSolution, x: float) -> float:
     x = float(x)
     if x < 0.0:
         raise ParameterOutOfRangeError(f"solutions live on x >= 0, got {x:g}")
-    return math.fsum(w * eval_weighted(p, x) for w, p in sol.terms if w != 0.0)
+    return float(evaluate_solution_many(sol, np.array([x]))[0])
 
 
 def evaluate_solution_many(sol: RelaxationSolution, xs: np.ndarray) -> np.ndarray:

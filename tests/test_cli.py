@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from nlfrac.cli import run
+from nlfrac.cli import _draw_truly_spec, run
+from nlfrac.specparams import validate
 
 
 def test_mlf_text_output(capsys):
@@ -15,7 +16,7 @@ def test_mlf_text_output(capsys):
     assert rc == 0
     value, regime = out.split()
     assert float(value) == pytest.approx(0.25539567631050186, rel=1e-13, abs=0.0)
-    assert regime == "regime=series"
+    assert regime == "regime=integral"
 
 
 def test_mlf_json_output(capsys):
@@ -222,6 +223,20 @@ def test_verify_seed_changes_draws(tmp_path):
     assert run(["verify", "ftfc", "--trials", "8", "--seed", "1", "--out", str(a)]) == 0
     assert run(["verify", "ftfc", "--trials", "8", "--seed", "2", "--out", str(b)]) == 0
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_truly_spec_draws_never_fail():
+    # alpha + s_{k-1} may land next to k - 2, the lower end of its range,
+    # and gamma_k must still have a non-empty range to come from
+    rng = np.random.default_rng(0)
+    for _ in range(20000):
+        spec = _draw_truly_spec(rng, int(rng.integers(1, 5)))
+        assert validate(spec).truly_nth_level, spec
+
+
+@pytest.mark.parametrize("suite,seed", [("kernel", 3), ("projector", 2)])
+def test_verify_survives_former_crash_seeds(capsys, suite, seed):
+    assert run(["verify", suite, "--seed", str(seed)]) == 0
 
 
 def test_verify_unknown_suite(capsys):

@@ -112,13 +112,19 @@ def test_asymptotic_leading_bound():
 
 
 def test_info_regimes_partition():
-    seen = set()
-    for x in np.logspace(-2, 6, 120):
-        val, regime = eval_ml_info(MLQuery(0.6, 1.0, -float(x)))
-        assert regime in ("series", "integral", "asymptotic")
-        assert math.isfinite(val)
-        seen.add(regime)
-    assert "series" in seen and "asymptotic" in seen
+    for b in (0.3, 1.0, 1.6, 2.5):
+        seen = set()
+        for x in np.logspace(-2, 6, 120):
+            val, regime = eval_ml_info(MLQuery(0.6, b, -float(x)))
+            assert math.isfinite(val)
+            seen.add(regime)
+        # below beta = alpha + 1 the series serves no z < 0; past it, the
+        # series keeps small |z| because the upward recurrence divides by z
+        if b <= 0.6 + 1.0:
+            assert seen == {"integral", "asymptotic"}, b
+        else:
+            assert seen == {"series", "integral", "asymptotic"}, b
+            assert eval_ml_info(MLQuery(0.6, b, -0.01))[1] == "series"
 
 
 def test_regime_boundaries_are_continuous():
@@ -321,7 +327,7 @@ def _transform_oracle(a, b, x):
 
 
 def _contour_at(a, b, x):
-    return float(mlf._contour(a, b, np.array([x]))[0][0])
+    return float(mlf._contour(a, b, np.array([x]))[0])
 
 
 # just below alpha = 1 the plain contour terms cancel, and the rule
@@ -349,8 +355,8 @@ def test_integral_against_oracle(a):
             assert _contour_at(a, b, x) == pytest.approx(want, rel=1e-11, abs=0.0), (b, x)
 
 
-# (alpha, beta, x) near zeros of E at small beta, where the series'
-# realised cancellation sends the point to the integral regime
+# (alpha, beta, x) near zeros of E at small beta, where the plain series
+# cancels; beta <= alpha + 1, so the integral regime serves them
 SMALL_BETA_INTEGRAL_POINTS = [
     (0.885411969589, 0.022225343502999984, 0.024585849618556994),
     (0.673590346774, 0.08706885595299996, 0.13148986301726967),
@@ -431,16 +437,12 @@ def test_many_integral_large_beta_against_oracle(a, b):
 @pytest.mark.parametrize("a", [0.05, 0.5, 0.9, 0.9995, 0.9999, 0.9999999])
 @pytest.mark.parametrize("db", [-0.7, 0.0, 0.5, 1.0])
 def test_contour_bound_dominates_its_error(a, db):
-    # the bound covers rounding only; over beta in (0, alpha + 1] the
-    # discretisation error must stay below it wherever it reads 1e-12 or
-    # less
+    # at beta in (0, alpha + 1] the rule serves every z < 0 that the
+    # asymptotic expansion does not take, from tiny x out to |z| = 40
     b = max(a + db, 0.02)
-    xs = np.geomspace(0.3, 40.0, 9)
-    vals, bound = mlf._contour(a, b, xs)
-    for x, v, bd in zip(xs, vals, bound):
-        if bd <= 1e-12:
-            want = _transform_oracle(a, b, float(x))
-            assert abs(v - want) <= bd * abs(want), (x, v, want, bd)
+    xs = np.geomspace(1e-8, 40.0, 12)
+    for x, v in zip(xs, mlf._contour(a, b, xs)):
+        assert v == pytest.approx(_transform_oracle(a, b, float(x)), rel=1e-12, abs=0.0), x
 
 
 def test_query_validation():
