@@ -11,6 +11,13 @@ breakdowns (non-convergence, undefined evaluation).  Every output file
 is written whole via a temp file and rename; a failing run leaves no
 partial artifacts.  For a fixed argv and seed the bytes written are
 identical run to run.
+
+Each verify suite is one trial function run by one loop.  A trial draws
+its case from the seeded generator and returns (draw, check): draw is
+the JSON record that replays the case, and check() returns None or the
+fields of its failure.  A check that raises an NlfracError, non-
+convergence included, is a failed trial with an "error" field; the
+report is still written, and verify exits 1 whenever a trial failed.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .fitting import FitProblem, fit_relaxation, fit_report_tail, model_values, parameter_names
-from .gridops import GradedGrid, default_grading_exponent, read_xy
+from .gridops import GradedGrid, csv_text, default_grading_exponent, read_xy
 from .mlf import MLQuery, eval_ml_info
 from .powerlaw import PowerSum, nth_level_derivative, projector_apply, rl_integral
 from .relax import (
@@ -45,8 +52,6 @@ from .specparams import DerivativeSpec, classify, reduce_spec, validate
 from .volterra import VolterraProblem, make_rhs, picard_solve
 
 __all__ = ["main", "run", "verify_suite", "SUITE_NAMES"]
-
-SUITE_NAMES = ("ftfc", "projector", "kernel", "laplace", "picard", "cm")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,16 +92,6 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _curve_text(grid: GradedGrid, values: np.ndarray, sigma=None) -> str:
-    lines = []
-    if sigma is not None:
-        lines.append(f"# sigma={sigma:.17g}")
-    lines.append("x,y")
-    for a, b in zip(grid.nodes, values):
-        lines.append(f"{a:.17g},{b:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -126,6 +121,22 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 def _sidecar_path(out: str) -> str:
     root, ext = os.path.splitext(out)
     return root + ".json" if ext != ".json" else root + "_meta.json"
+
+
+def _grid(args, terminal: DerivativeSpec) -> GradedGrid:
+    grading = args.grading if args.grading else default_grading_exponent(terminal)
+    return GradedGrid(args.xmax, args.points, grading)
+
+
+def _emit_curve(args, grid: GradedGrid, values, sigma, meta: dict) -> None:
+    """JSON payload of meta plus x and y, or CSV with meta in a sidecar."""
+    if args.format == "json":
+        xy = {"x": [float(v) for v in grid.nodes], "y": [float(v) for v in values]}
+        _emit(args.out, _json_text({**meta, **xy}))
+        return
+    _emit(args.out, csv_text(grid.nodes, values, sigma))
+    if args.out:
+        _atomic_write(_sidecar_path(args.out), _json_text(meta))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +172,11 @@ def _cmd_solve(args) -> int:
     spec = _load_spec(args)
     prob = RelaxationProblem(spec, getattr(args, "lambda"), _parse_floats(args.init, "--init"))
     sol = solve_relaxation(prob)
-    grid = GradedGrid(
-        args.xmax, args.points,
-        args.grading if args.grading else default_grading_exponent(prob.terminal),
-    )
+    grid = _grid(args, prob.terminal)
     values = evaluate_solution_many(sol, grid.nodes)
     verdict = cm_verdict(prob)
     tail = asymptotic_form(prob)
-    sidecar = {
+    meta = {
         "spec": spec.to_dict(),
         "terminal_spec": prob.terminal.to_dict(),
         "lambda": prob.lam,
@@ -178,16 +186,8 @@ def _cmd_solve(args) -> int:
         "cm_notes": list(verdict.notes),
         "asymptotic_terms": [list(t) for t in tail.terms],
     }
-    if args.format == "json":
-        payload = dict(sidecar)
-        payload["x"] = [float(v) for v in grid.nodes]
-        payload["y"] = [float(v) for v in values]
-        _emit(args.out, _json_text(payload))
-    else:
-        lead = min(prob.terminal.sigma)
-        _emit(args.out, _curve_text(grid, values, lead if lead <= 0.0 else None))
-        if args.out:
-            _atomic_write(_sidecar_path(args.out), _json_text(sidecar))
+    lead = min(prob.terminal.sigma)
+    _emit_curve(args, grid, values, lead if lead <= 0.0 else None, meta)
     return 0
 
 
@@ -209,16 +209,13 @@ def _parse_rhs(text: str):
 def _cmd_picard(args) -> int:
     spec = _load_spec(args)
     rhs, rhs_info = _parse_rhs(args.rhs)
-    grid = GradedGrid(
-        args.xmax, args.points,
-        args.grading if args.grading else default_grading_exponent(reduce_spec(spec)),
-    )
+    grid = _grid(args, reduce_spec(spec))
     prob = VolterraProblem(
         spec, rhs, _parse_floats(args.init, "--init"), grid,
         tol=args.tol, max_iter=args.max_iter,
     )
     res = picard_solve(prob)
-    log = {
+    meta = {
         "spec": spec.to_dict(),
         "rhs": rhs_info,
         "iterations": res.iterations,
@@ -227,16 +224,7 @@ def _cmd_picard(args) -> int:
         "tol": prob.tol,
         "max_iter": prob.max_iter,
     }
-    vals = np.asarray(res.solution.values)
-    if args.format == "json":
-        payload = dict(log)
-        payload["x"] = [float(v) for v in grid.nodes]
-        payload["y"] = [float(v) for v in vals]
-        _emit(args.out, _json_text(payload))
-    else:
-        _emit(args.out, _curve_text(grid, vals, res.solution.singular_exponent))
-        if args.out:
-            _atomic_write(_sidecar_path(args.out), _json_text(log))
+    _emit_curve(args, grid, res.solution.values, res.solution.singular_exponent, meta)
     return 0 if res.converged else 2
 
 
@@ -293,17 +281,13 @@ def _cmd_fit(args) -> int:
     payload["asymptotic_terms"] = [list(t) for t in tail.terms]
     _emit(args.out, _json_text(payload))
     if args.out:
-        vec = [result.parameters[k] for k in names]
-        fitted = model_values(vec, args.n, prob.x)
-        root, _ = os.path.splitext(args.out)
-        lines = ["x,y"] + [f"{a:.17g},{b:.17g}" for a, b in zip(prob.x, fitted)]
-        _atomic_write(root + "_curve.csv", "\n".join(lines) + "\n")
+        fitted = model_values([result.parameters[k] for k in names], args.n, prob.x)
+        _atomic_write(os.path.splitext(args.out)[0] + "_curve.csv", csv_text(prob.x, fitted))
     return 0 if result.converged else 2
 
 
 # ---------------------------------------------------------------------------
-# verify suites: seeded random draws, exact or tolerance checks, and a
-# JSON report carrying every draw so a failure replays anywhere
+# verify suites: one trial function each, run by verify_suite
 
 def _draw_valid_spec(rng, n: int) -> DerivativeSpec:
     alpha = float(rng.uniform(0.05, 1.0))
@@ -347,137 +331,105 @@ def _draw_monomial_exponent(rng, spec: DerivativeSpec, lo=-0.5, hi=3.0,
     return float(rng.uniform(max(lo, floor), hi))
 
 
-def _suite_ftfc(trials, seed, tol):
-    rng = np.random.default_rng(seed)
-    tol = 1e-10 if tol is None else tol
-    draws, failures = [], []
-    for i in range(trials):
-        spec = _draw_valid_spec(rng, int(rng.integers(1, 5)))
-        mu = _draw_monomial_exponent(rng, spec)
-        c = float(rng.uniform(0.5, 2.0))
-        draws.append({"spec": spec.to_dict(), "mu": mu, "c": c})
-        f = PowerSum.monomial(c, mu)
-        try:
-            back = nth_level_derivative(spec, rl_integral(f, spec.alpha))
-            dev = _coeff_dev(back, f)
-        except NlfracError as exc:
-            failures.append({"trial": i, "error": str(exc), "draw": draws[-1]})
-            continue
-        if not (dev <= tol):
-            failures.append({"trial": i, "deviation": dev, "draw": draws[-1]})
-    return draws, failures, tol
-
-
 def _coeff_dev(got: PowerSum, want: PowerSum) -> float:
     diff = got - want
     scale = max((abs(c) for c, _ in want.terms), default=1.0)
     return max((abs(c) for c, _ in diff.terms), default=0.0) / scale
 
 
-def _suite_projector(trials, seed, tol):
-    rng = np.random.default_rng(seed)
-    tol = 1e-10 if tol is None else tol
-    draws, failures = [], []
-    for i in range(trials):
-        spec = _draw_truly_spec(rng, int(rng.integers(1, 4)))
-        terms = []
-        for _ in range(int(rng.integers(1, 4))):
-            terms.append(
-                (float(rng.uniform(-2, 2)),
-                 _draw_monomial_exponent(rng, spec, direct=True))
-            )
-        if rng.random() < 0.5:
-            k = int(rng.integers(0, spec.n))
-            terms.append((float(rng.uniform(-2, 2)), spec.sigma[k]))
-        f = PowerSum(tuple(terms))
-        draws.append({"spec": spec.to_dict(), "terms": f.to_pairs()})
-        try:
-            df = nth_level_derivative(spec, f)
-            proj = projector_apply(spec, f)
-            recon = rl_integral(df, spec.alpha) + PowerSum(
-                tuple(zip(proj.p, proj.sigma))
-            )
-            dev = _coeff_dev(recon, f)
-        except NlfracError as exc:
-            failures.append({"trial": i, "error": str(exc), "draw": draws[-1]})
-            continue
-        if not (dev <= tol):
-            failures.append({"trial": i, "deviation": dev, "draw": draws[-1]})
-    return draws, failures, tol
+def _deviation(dev: float, tol: float):
+    return None if dev <= tol else {"deviation": dev}
 
 
-def _suite_kernel(trials, seed, tol):
-    rng = np.random.default_rng(seed)
-    tol = 1e-12 if tol is None else tol
-    draws, failures = [], []
-    for i in range(trials):
-        spec = _draw_truly_spec(rng, int(rng.integers(1, 5)))
-        draws.append({"spec": spec.to_dict()})
+def _problem_draw(prob: RelaxationProblem) -> dict:
+    return {"spec": prob.spec.to_dict(), "lambda": prob.lam, "y": list(prob.y)}
+
+
+def _trial_ftfc(rng, tol):
+    spec = _draw_valid_spec(rng, int(rng.integers(1, 5)))
+    mu = _draw_monomial_exponent(rng, spec)
+    c = float(rng.uniform(0.5, 2.0))
+
+    def check():
+        f = PowerSum.monomial(c, mu)
+        back = nth_level_derivative(spec, rl_integral(f, spec.alpha))
+        return _deviation(_coeff_dev(back, f), tol)
+
+    return {"spec": spec.to_dict(), "mu": mu, "c": c}, check
+
+
+def _trial_projector(rng, tol):
+    spec = _draw_truly_spec(rng, int(rng.integers(1, 4)))
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        terms.append(
+            (float(rng.uniform(-2, 2)),
+             _draw_monomial_exponent(rng, spec, direct=True))
+        )
+    if rng.random() < 0.5:
+        k = int(rng.integers(0, spec.n))
+        terms.append((float(rng.uniform(-2, 2)), spec.sigma[k]))
+    f = PowerSum(tuple(terms))
+
+    def check():
+        df = nth_level_derivative(spec, f)
+        proj = projector_apply(spec, f)
+        recon = rl_integral(df, spec.alpha) + PowerSum(tuple(zip(proj.p, proj.sigma)))
+        return _deviation(_coeff_dev(recon, f), tol)
+
+    return {"spec": spec.to_dict(), "terms": f.to_pairs()}, check
+
+
+def _trial_kernel(rng, tol):
+    spec = _draw_truly_spec(rng, int(rng.integers(1, 5)))
+
+    def check():
         worst = 0.0
-        try:
-            for sig in spec.sigma:
-                out = nth_level_derivative(spec, PowerSum.monomial(1.0, sig))
-                worst = max(worst, max((abs(c) for c, _ in out.terms), default=0.0))
-        except NlfracError as exc:
-            failures.append({"trial": i, "error": str(exc), "draw": draws[-1]})
-            continue
-        if not (worst <= tol):
-            failures.append({"trial": i, "deviation": worst, "draw": draws[-1]})
-    return draws, failures, tol
+        for sig in spec.sigma:
+            out = nth_level_derivative(spec, PowerSum.monomial(1.0, sig))
+            worst = max(worst, max((abs(c) for c, _ in out.terms), default=0.0))
+        return _deviation(worst, tol)
+
+    return {"spec": spec.to_dict()}, check
 
 
-def _draw_relax_problem(rng, n: int) -> RelaxationProblem:
-    spec = _draw_truly_spec(rng, n)
+def _trial_laplace(rng, tol):
+    spec = _draw_truly_spec(rng, int(rng.integers(1, 3)))
     lam = float(rng.uniform(0.3, 3.0))
-    y = tuple(float(v) for v in rng.uniform(0.2, 2.0, n))
-    return RelaxationProblem(spec, lam, y)
+    prob = RelaxationProblem(spec, lam, tuple(float(v) for v in rng.uniform(0.2, 2.0, spec.n)))
+
+    def check():
+        return _deviation(laplace_verify(prob, (1.0, 2.0, 5.0), m=2048).max_rel_dev, tol)
+
+    return _problem_draw(prob), check
 
 
-def _suite_laplace(trials, seed, tol):
-    rng = np.random.default_rng(seed)
-    tol = 1e-4 if tol is None else tol
-    draws, failures = [], []
-    for i in range(trials):
-        prob = _draw_relax_problem(rng, int(rng.integers(1, 3)))
-        draws.append({"spec": prob.spec.to_dict(), "lambda": prob.lam, "y": list(prob.y)})
-        chk = laplace_verify(prob, (1.0, 2.0, 5.0), m=2048)
-        if not (chk.max_rel_dev <= tol):
-            failures.append(
-                {"trial": i, "deviation": chk.max_rel_dev, "draw": draws[-1]}
-            )
-    return draws, failures, tol
-
-
-def _suite_picard(trials, seed, tol):
+def _trial_picard(rng, tol):
     # rates stay at 1.1 or below for the grid's quadrature error, not for
     # the solver: on 2048 nodes over [0, 5] the discrete solution is off
     # the closed form by 1.2e-5 at alpha = 0.46, n = 2, rate 1.95, and by
     # 1.8e-5 at alpha = 0.475, n = 2, rate 1.68, both converged, and the
     # same with the block march and with sweeps of the whole map
-    rng = np.random.default_rng(seed)
-    tol = 1e-5 if tol is None else tol
-    draws, failures = [], []
-    for i in range(trials):
-        spec = _draw_truly_spec(rng, int(rng.integers(1, 3)), alpha_lo=0.3, alpha_hi=0.95)
-        lam = float(rng.uniform(0.3, 1.1))
-        y = tuple(float(v) for v in rng.uniform(0.2, 2.0, spec.n))
-        prob = RelaxationProblem(spec, lam, y)
-        draws.append({"spec": prob.spec.to_dict(), "lambda": prob.lam, "y": list(prob.y)})
+    spec = _draw_truly_spec(rng, int(rng.integers(1, 3)), alpha_lo=0.3, alpha_hi=0.95)
+    lam = float(rng.uniform(0.3, 1.1))
+    prob = RelaxationProblem(spec, lam, tuple(float(v) for v in rng.uniform(0.2, 2.0, spec.n)))
+
+    def check():
         grid = GradedGrid(5.0, 2048, default_grading_exponent(prob.terminal))
-        vp = VolterraProblem(
+        res = picard_solve(VolterraProblem(
             prob.spec, make_rhs("linear", {"c": -prob.lam}), prob.y, grid,
             tol=1e-9, max_iter=500,
-        )
-        res = picard_solve(vp)
+        ))
         ref = evaluate_solution_many(solve_relaxation(prob), grid.nodes)
         mask = grid.nodes >= 0.1
         got = np.asarray(res.solution.values)
         scale = float(np.max(np.abs(ref[mask])))
         dev = float(np.max(np.abs(got[mask] - ref[mask]))) / scale
-        if not (dev <= tol and res.converged):
-            failures.append({"trial": i, "deviation": dev,
-                             "converged": res.converged, "draw": draws[-1]})
-    return draws, failures, tol
+        if dev <= tol and res.converged:
+            return None
+        return {"deviation": dev, "converged": res.converged}
+
+    return _problem_draw(prob), check
 
 
 def _draw_cm_admissible(rng):
@@ -501,36 +453,32 @@ def _draw_cm_admissible(rng):
     return RelaxationProblem(spec, lam, y)
 
 
-def _suite_cm(trials, seed, tol):
-    rng = np.random.default_rng(seed)
-    tol = 1e-7 if tol is None else tol
-    draws, failures = [], []
-    for i in range(trials):
-        prob = _draw_cm_admissible(rng)
-        draws.append({"spec": prob.spec.to_dict(), "lambda": prob.lam, "y": list(prob.y)})
+def _trial_cm(rng, tol):
+    prob = _draw_cm_admissible(rng)
+
+    def check():
         verdict = cm_verdict(prob)
         if not verdict.admissible_by_theorem:
-            failures.append({"trial": i, "error": "draw not admissible",
-                             "notes": list(verdict.notes), "draw": draws[-1]})
-            continue
+            return {"error": "draw not admissible", "notes": list(verdict.notes)}
         rep = cm_numeric_check(solve_relaxation(prob), 1e-2, 1e3, max_order=6, tau=tol)
-        if rep.violations:
-            failures.append(
-                {"trial": i,
-                 "violations": [[m, x, v] for m, x, v in rep.violations[:5]],
-                 "count": len(rep.violations), "draw": draws[-1]}
-            )
-    return draws, failures, tol
+        if not rep.violations:
+            return None
+        return {"violations": [[m, x, v] for m, x, v in rep.violations[:5]],
+                "count": len(rep.violations)}
+
+    return _problem_draw(prob), check
 
 
+# name: (trial, default trial count, default tolerance)
 _SUITES = {
-    "ftfc": (_suite_ftfc, 100),
-    "projector": (_suite_projector, 100),
-    "kernel": (_suite_kernel, 50),
-    "laplace": (_suite_laplace, 5),
-    "picard": (_suite_picard, 3),
-    "cm": (_suite_cm, 25),
+    "ftfc": (_trial_ftfc, 100, 1e-10),
+    "projector": (_trial_projector, 100, 1e-10),
+    "kernel": (_trial_kernel, 50, 1e-12),
+    "laplace": (_trial_laplace, 5, 1e-4),
+    "picard": (_trial_picard, 3, 1e-5),
+    "cm": (_trial_cm, 25, 1e-7),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def verify_suite(name: str, trials: int | None = None, seed: int = 0,
@@ -538,16 +486,27 @@ def verify_suite(name: str, trials: int | None = None, seed: int = 0,
     """Run one property suite and return its JSON-ready report."""
     if name not in _SUITES:
         raise NlfracError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    fn, default_trials = _SUITES[name]
+    trial, default_trials, default_tol = _SUITES[name]
     trials = default_trials if trials is None else trials
     if trials < 1:
         raise NlfracError("--trials must be >= 1")
-    draws, failures, tol_used = fn(trials, seed, tol)
+    tol = default_tol if tol is None else tol
+    rng = np.random.default_rng(seed)
+    draws, failures = [], []
+    for i in range(trials):
+        draw, check = trial(rng, tol)
+        draws.append(draw)
+        try:
+            fields = check()
+        except NlfracError as exc:
+            fields = {"error": str(exc)}
+        if fields is not None:
+            failures.append({"trial": i, **fields, "draw": draw})
     return {
         "suite": name,
         "trials": trials,
         "seed": seed,
-        "tolerance": tol_used,
+        "tolerance": tol,
         "failures": failures,
         "draws": draws,
     }

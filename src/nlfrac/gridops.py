@@ -41,6 +41,7 @@ __all__ = [
     "derivative_grid",
     "nth_level_derivative_grid",
     "laplace_numeric",
+    "csv_text",
     "write_csv",
     "read_xy",
 ]
@@ -475,16 +476,18 @@ def laplace_numeric(f: SampledFunction, tail, s: float) -> float:
     return math.fsum(pieces)
 
 
-def write_csv(f: SampledFunction, path: str) -> None:
-    """CSV with header x,y; a declared exponent rides in a comment line."""
-    lines = []
-    if f.singular_exponent is not None:
-        lines.append(f"# sigma={f.singular_exponent:.17g}")
+def csv_text(x, y, sigma=None) -> str:
+    """CSV text with header x,y; a declared exponent rides in a comment line."""
+    lines = [] if sigma is None else [f"# sigma={sigma:.17g}"]
     lines.append("x,y")
-    for xv, yv in zip(f.grid.nodes, f.values):
-        lines.append(f"{xv:.17g},{yv:.17g}")
+    lines.extend(f"{xv:.17g},{yv:.17g}" for xv, yv in zip(x, y))
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(f: SampledFunction, path: str) -> None:
+    """Write f as csv_text to path."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(f.grid.nodes, f.values, f.singular_exponent))
 
 
 def read_xy(path: str):

@@ -67,9 +67,6 @@ ALPHA_ONE_ASYM_ABS_Z = 600.0
 # (value magnitude cap ~ 1e280), exponential asymptotics beyond
 POSITIVE_SERIES_DIGITS_CAP = 280.0
 
-# exp() overflow threshold for the exponential asymptotic form
-EXP_ARG_MAX = 709.0
-
 # above this alpha the contour rule integrates the difference from the
 # alpha = 1 transform and adds E_{1,beta} back: closer to alpha = 1 its
 # plain terms cancel (1.7e-12 at alpha = 0.999, 1.2e-8 at 0.9999999),

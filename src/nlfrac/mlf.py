@@ -76,8 +76,8 @@ _REGIME_LABELS = ("series", "asymptotic", "integral", "closed-form")
 def reciprocal_gamma(x: float) -> float:
     """Entire function 1/Gamma(x); exactly 0.0 at the poles of Gamma."""
     x = float(x)
-    if math.isnan(x):
-        raise ParameterOutOfRangeError("reciprocal_gamma: argument is NaN")
+    if not x > -math.inf:  # NaN or -inf
+        raise ParameterOutOfRangeError(f"reciprocal_gamma: argument is {x}")
     if x <= 0.0:
         if x == math.floor(x):
             return 0.0
@@ -503,7 +503,7 @@ def _evaluate(alpha, beta, z):
         zg = z[grow]
         with np.errstate(over="ignore"):
             arg = zg ** (1.0 / alpha) + (1.0 - beta) / alpha * np.log(zg)
-            val[grow] = np.where(arg > C.EXP_ARG_MAX, np.inf, np.exp(arg) / alpha)
+            val[grow] = np.exp(arg) / alpha
         code[grow] = _ASYMPTOTIC
     left &= z < 0.0
 

@@ -239,32 +239,28 @@ def cm_numeric_check(
     x_hi: float,
     max_order: int = 6,
     tau: float = 1e-7,
-    points: int = 400,
 ) -> CMReport:
     """Finite-difference monotonicity scan.
 
-    On a log grid, forms the forward differences of f with step x/64
-    and requires the alternating-sign pattern of complete monotonicity,
-    (-1)^m Delta^m f >= -tau * |f|, for m = 0..max_order.  The
-    difference characterization makes no smoothness demands beyond
+    On a 400-point log grid, forms the forward differences of f with
+    step x/64 and requires the alternating-sign pattern of complete
+    monotonicity, (-1)^m Delta^m f >= -tau * |f|, for m = 0..max_order.
+    The difference characterization makes no smoothness demands beyond
     evaluability.  Violations record (order, location, signed value).
     """
     if not (0 < x_lo < x_hi):
         raise ParameterOutOfRangeError("need 0 < x_lo < x_hi")
     if not (isinstance(max_order, int) and 0 <= max_order <= 8):
         raise ParameterOutOfRangeError("difference order capped at 8")
-    xs = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), points))
+    xs = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), 400))
     h = xs / 64.0
     pts = xs[:, None] + h[:, None] * np.arange(max_order + 1)[None, :]
-    if isinstance(f, RelaxationSolution):
-        flat = evaluate_solution_many(f, pts.ravel())
-    else:
-        try:
-            flat = np.asarray(f(pts.ravel()), dtype=float)
-            if flat.shape != (pts.size,):
-                raise TypeError
-        except (TypeError, ValueError):
-            flat = np.array([float(f(v)) for v in pts.ravel()])
+    try:
+        flat = np.asarray(f(pts.ravel()), dtype=float)
+        if flat.shape != (pts.size,):
+            raise TypeError
+    except (TypeError, ValueError):
+        flat = np.array([float(f(v)) for v in pts.ravel()])
     vals = flat.reshape(pts.shape)
     scale = np.abs(vals[:, 0])
     violations = []

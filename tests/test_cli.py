@@ -239,6 +239,26 @@ def test_verify_survives_former_crash_seeds(capsys, suite, seed):
     assert run(["verify", suite, "--seed", str(seed)]) == 0
 
 
+def test_verify_records_a_raising_check(tmp_path, monkeypatch):
+    # a check that raises is a failed trial whose draw replays it; the
+    # report is written and the run exits 1, not 2
+    import nlfrac.cli
+    from nlfrac.errors import NonConvergenceError
+
+    def diverges(prob):
+        raise NonConvergenceError("march diverged")
+
+    monkeypatch.setattr(nlfrac.cli, "picard_solve", diverges)
+    out = tmp_path / "p.json"
+    assert run(["verify", "picard", "--trials", "2", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert [f["trial"] for f in doc["failures"]] == [0, 1]
+    for f in doc["failures"]:
+        assert f["error"] == "march diverged"
+        assert f["draw"] == doc["draws"][f["trial"]]
+        assert set(f["draw"]) == {"spec", "lambda", "y"}
+
+
 def test_verify_unknown_suite(capsys):
     assert run(["verify", "nonsense"]) == 1
 
