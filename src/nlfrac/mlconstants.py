@@ -1,47 +1,30 @@
 """Frozen regime boundaries for the Mittag-Leffler evaluator.
 
-The evaluator picks between three strategies on the negative real axis:
-the algebraic asymptotic expansion, a contour rule for the inverse
-Laplace transform, which near alpha = 1 integrates the difference from
-the alpha = 1 transform, and, for beta > alpha + 1 only, the defining
-power series (compensated summation) at small |z|.  The switch points
-below were frozen after a calibration sweep against a 40+ digit
-reference (mpmath series at adaptive precision, Talbot transform
-inversion where the series needs infeasible precision, cross-checked on
-alpha = 1/2 against scipy.special.erfcx); the sweep script is
-tests/calibrate_mlf.py.  On its 1900-point grid (alpha in [0.05, 1]
-including 0.9999, |z| <= 1e5, 0.02 <= beta <= 2.5) the worst relative
-errors with these settings are 8.9e-14 (integral), 7.1e-14
-(asymptotic), 7.0e-14 (series, beta > alpha + 1) and 1.4e-15
-(alpha = 1 closed forms).  The script exits nonzero when any regime
-exceeds the budget of 2e-11.
+The evaluator picks between two strategies on the negative real axis:
+the algebraic asymptotic expansion and a contour rule for the inverse
+Laplace transform, which serves every beta and near alpha = 1
+integrates the difference from the alpha = 1 transform.  The defining
+power series (compensated summation) serves the positive axis only.
+The switch points below were frozen after a calibration sweep against a
+40+ digit reference (mpmath series at adaptive precision, stopped
+relative to its largest term, Talbot transform inversion where the
+series needs infeasible precision, cross-checked on alpha = 1/2 against
+scipy.special.erfcx); the sweep script is tests/calibrate_mlf.py.  On
+its 2584-point grid (alpha in [0.05, 1] including 0.9999 and
+0.9999999, -1e5 <= z <= -0.1, 0.02 <= beta <= 40) the worst relative
+errors with these settings are 8.9e-14 (integral), 9.7e-14
+(asymptotic) and 1.4e-15 (alpha = 1 closed forms).  The script exits
+nonzero when any regime exceeds the budget of 2e-11.
 
 Do not tune these per call site.  They encode a global accuracy budget:
 
-* for beta > alpha + 1 the series loses about 0.4343 * |z|**(1/alpha)
-  decimal digits to cancellation for z < 0, and past its band the
-  upward recurrence from the contour rule takes over; for
-  beta <= alpha + 1 the contour rule serves every z < 0 that the
-  asymptotic expansion does not, and the two digit caps play no part;
 * the asymptotic sum is accepted only when its smallest retained term,
   and for alpha > 2/3 the exponentials it drops, are small enough
   relative to the partial sum;
-* everything between falls to the contour rule.
+* everything between falls to the contour rule;
+* on the positive axis the series serves z while its terms stay within
+  the double range, the exponential asymptotic form beyond.
 """
-
-# for beta > alpha + 1 only: the series is attempted on z < 0 when the
-# predicted cancellation (decimal digits, 0.4343 * |z|**(1/alpha)) stays
-# below this budget.  The limiting error is not the accumulator but the
-# terms: forming the argument alpha*k + beta in double rounds the peak
-# terms by ~2e-15 relative (digamma times one ulp), which the series
-# corrects to first order, and Gamma itself is rounded, so usable
-# budgets stop near 3 digits even with exact summation
-SERIES_PREDICTED_DIGITS_CAP = 3.0
-
-# for beta > alpha + 1 only: after summing on z < 0, the realised
-# cancellation log10(max |term| / |sum|) must stay below this or the
-# result is discarded and recomputed by the integral route
-SERIES_REALISED_DIGITS_CAP = 3.5
 
 # a term below this fraction of the running peak ends the series
 SERIES_TAIL_REL = 1e-21

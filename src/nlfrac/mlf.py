@@ -5,24 +5,19 @@ E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha k + beta) for
 eval_ml and eval_ml_info evaluate a batch of one point, and every
 point comes back with the regime that produced it.  The evaluator
 targets relative error 1e-10 for real z with |z| <= 1e5 and
-alpha >= 0.05, switching between three regimes on the negative axis:
+alpha >= 0.05, with two regimes on the negative axis:
 
 * algebraic asymptotic expansion, truncated at its smallest term, once
   |z| is large and the truncation estimate, with the exponentials the
   expansion drops for alpha > 2/3, clears 1e-13,
-* for 0 < beta <= alpha + 1, every other point goes to the integral
-  regime.  A trapezoid rule on a parabolic Hankel contour inverts the
-  Laplace transform s^(a-b) / (s^a + x) at all of its points at once,
-  with fixed nodes.  Above CONTOUR_SUBTRACT_ALPHA, where its terms
-  cancel, the rule inverts the difference from the alpha = 1
-  transform s^(1-b) / (s + x) in a form that does not cancel and adds
-  back E_{1,b}(-x),
-* for beta > alpha + 1, the power series with compensated summation
-  while its predicted and realised cancellation stay within the digit
-  caps of mlconstants, and otherwise the integral regime: the upward
-  recurrence E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z from the
-  rule's values at b <= a + 1.  The recurrence divides by z, so the
-  series keeps the small |z|.
+* every other point goes to the integral regime, at every beta > 0.  A
+  trapezoid rule on a parabolic Hankel contour inverts the Laplace
+  transform s^(a-b) / (s^a + x) at all of its points at once.  The
+  parabola crosses the real axis near the saddle s = b - a of
+  e^s s^(a-b), so its terms stay about the size of the result.  Above
+  CONTOUR_SUBTRACT_ALPHA, where its terms cancel, the rule inverts the
+  difference from the alpha = 1 transform s^(1-b) / (s + x) in a form
+  that does not cancel and adds back E_{1,b}(-x).
 
 alpha = 1 uses exp(z) at beta = 1, otherwise the series on the positive
 axis, its Kummer transform on the negative axis and the asymptotic
@@ -49,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gamma, gammaln
 
 from . import mlconstants as C
 from .errors import EvaluationAtZeroUndefinedError, ParameterOutOfRangeError
@@ -65,8 +60,6 @@ __all__ = [
     "eval_weighted",
     "is_cm_params",
 ]
-
-_LOG10E = 0.4342944819032518
 
 # regime codes of _evaluate, indexing their labels
 _SERIES, _ASYMPTOTIC, _INTEGRAL, _CLOSED_FORM = range(4)
@@ -214,13 +207,47 @@ def _compensated_sum(t):
     return t[0] + c[0]
 
 
+def _reciprocal_gamma_rows(alpha, beta, k):
+    """1/Gamma(alpha k + beta) at an array of integers k, to double precision.
+
+    x = alpha k + beta rounds by up to ulp(x), which moves 1/Gamma by
+    digamma(x) ulp(x) relative: near a pole of Gamma that is far more
+    than the rounding of 1/Gamma itself, and cancellation in a sum
+    magnifies it.  The exact residual r = alpha k + beta - x (Dekker's
+    split makes hi k and (alpha - hi) k exact) undoes it.  On x > 0 the
+    value is 1/Gamma(x) (1 - digamma(x) r), to first order.  On x <= 0
+    it is the reflection about the nearest pole -n,
+
+        1/Gamma(-n + e) = (-1)^n Gamma(n + 1 - e) sin(pi e) / pi,
+
+    with e = (x + n) + r (x + n is exact) and Gamma(n + 1 - e) corrected
+    to first order for the rounding of n + 1 - e in the same way.  It
+    holds at any distance from the pole, where digamma(x) does not: two
+    ulps from -7 its relative error is 5e-2.  An exact pole gives 0.
+    """
+    x = alpha * k + beta
+    hi = 134217729.0 * alpha
+    hi -= hi - alpha
+    ak = alpha * k
+    s = x - ak
+    r = ((hi * k - ak) + (alpha - hi) * k) + ((ak - (x - s)) + (beta - s))
+    coef = np.empty_like(x)
+    pos = x > 0.0
+    xp = x[pos]
+    coef[pos] = np.array([reciprocal_gamma(v) for v in xp]) * (1.0 - digamma(xp) * r[pos])
+    n = -np.round(x[~pos])
+    e = (x[~pos] + n) + r[~pos]
+    y = n + 1.0 - e
+    g = gamma(y) * (1.0 + digamma(y) * ((n + 1.0 - y) - e))
+    coef[~pos] = (-1.0) ** n * g * np.sin(math.pi * e) / math.pi
+    return coef
+
+
 def _series_batch(alpha, beta, z):
     """Defining series at each point, with compensated summation.
 
-    Returns (values, converged, realised cancellation digits).  Only
-    points on the negative axis read the digits, and the series serves
-    those at beta > alpha + 1 alone.  A sum ends at the first term
-    k >= 1 with |t_k| <= SERIES_TAIL_REL max_{j<=k} |t_j|.  It has not
+    Returns (values, converged).  A sum ends at the first term k >= 1
+    with |t_k| <= SERIES_TAIL_REL max_{j<=k} |t_j|.  It has not
     converged when no term within SERIES_MAX_TERMS meets that, or when a
     term overflows first; its value is then nan.  At alpha = 1 the term
     is carried by the ratio t_{k+1} = t_k z / (beta + k): z^k alone
@@ -239,18 +266,7 @@ def _series_batch(alpha, beta, z):
 
     if not ratio:
         k = np.arange(rows_at(float(np.max(np.abs(z)))), dtype=float)
-        x = alpha * k + beta
-        coef = np.array([reciprocal_gamma(v) for v in x])
-        # x rounds alpha k + beta by up to ulp(x), which moves 1/Gamma by
-        # digamma(x) ulp(x) relative, and cancellation magnifies that; undo
-        # it to first order with the exact residual r = alpha k + beta - x
-        # (Dekker's split makes hi k and (alpha - hi) k exact)
-        hi = 134217729.0 * alpha
-        hi -= hi - alpha
-        ak = alpha * k
-        s = x - ak
-        r = ((hi * k - ak) + (alpha - hi) * k) + ((ak - (x - s)) + (beta - s))
-        coef = (coef * (1.0 - digamma(x) * r))[:, None]
+        coef = _reciprocal_gamma_rows(alpha, beta, k)[:, None]
 
     def sweep(zb, rows):
         t = np.empty((rows, zb.size))
@@ -270,14 +286,7 @@ def _series_batch(alpha, beta, z):
         converged = hit.any(axis=0)
         last = hit.argmax(axis=0)
         t[np.arange(rows)[:, None] > last] = 0.0
-        total = np.where(converged, _compensated_sum(t), np.nan)
-        maxt = peak[last, np.arange(zb.size)]
-        digits = np.where(
-            (maxt > 0.0) & (total != 0.0),
-            np.log10(np.maximum(maxt / np.maximum(np.abs(total), 1e-300), 1.0)),
-            np.where(maxt > 0.0, np.inf, 0.0),
-        )
-        return total, converged, digits
+        return np.where(converged, _compensated_sum(t), np.nan), converged
 
     # past-the-table powers overflow and meet zero coefficients
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,8 +343,11 @@ def _asymptotic_batch(alpha, beta, z):
     reason the cut never ends on a term whose coefficient is exactly
     zero (beta - j alpha a pole, as for j = 1 at beta = alpha).
 
-    The coefficients -1/Gamma(beta - j alpha) are formed once, and the
-    terms of all points are built in a (terms x points) table.  A
+    The coefficients -1/Gamma(beta - j alpha) are formed once, with the
+    rounding of beta - j alpha undone: at alpha = 0.9999999,
+    beta = alpha, each lies within j 1e-7 of a pole, where that rounding
+    alone cost 6e-11 relative.  The terms of all points are built in a
+    (terms x points) table.  A
     point's terms stop at the first p = z^-j that is zero or not
     finite, or the first term that is not finite.  Where p underflowed
     (|z| > 1e6 for that within the table), the tail shrinks by 1/|z|
@@ -348,7 +360,7 @@ def _asymptotic_batch(alpha, beta, z):
     z = np.asarray(z, dtype=float)
     nterms = C.ASYM_MAX_TERMS
     rows = np.arange(nterms)[:, None]
-    coef = np.array([-reciprocal_gamma(beta - j * alpha) for j in range(1, nterms + 1)])
+    coef = -_reciprocal_gamma_rows(alpha, beta, -np.arange(1.0, nterms + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.cumprod(np.broadcast_to(1.0 / z, (nterms, z.size)), axis=0)
         terms = p * coef[:, None]
@@ -373,29 +385,8 @@ def _asymptotic_batch(alpha, beta, z):
     return total, rel
 
 
-def _base(alpha, beta):
-    """(b, m) with beta = b + m alpha and b <= alpha + 1.
-
-    b is where the upward recurrence E_{a,b+a}(z) = (E_{a,b}(z) -
-    1/Gamma(b)) / z starts; m = 0 when beta itself is in reach of the
-    contour rule.
-    """
-    if beta <= alpha + 1.0 + 1e-12:
-        return beta, 0
-    m = math.ceil((beta - 1.0) / alpha - 1e-12)
-    return beta - m * alpha, m
-
-
-def _climb(alpha, b, m, x, v):
-    """E_{alpha,b+m alpha}(-x) from v = E_{alpha,b}(-x); x a float or an array."""
-    for _ in range(m):
-        v = (v - reciprocal_gamma(b)) / -x
-        b += alpha
-    return v
-
-
 def _contour(alpha, beta, x):
-    """E_{alpha,beta}(-x) at an array of x > 0.
+    """E_{alpha,beta}(-x) at an array of x > 0, for every beta > 0.
 
     A trapezoid rule in u on the parabola s(u) = mu (1 + i u)^2 inverts
     s^(a-b) / (s^a + x) at t = 1 (Weideman & Trefethen, Math. Comp. 76
@@ -407,6 +398,18 @@ def _contour(alpha, beta, x):
     (points x nodes) table and each point sums its own row, so a value
     does not depend on the batch it comes in.
 
+    The contour follows the saddle of e^s s^(a-b), near s = b - a: it
+    crosses the real axis at mu = max(1/2, b - a), where the terms are
+    about the size of the result, so rounding is not amplified at any
+    beta (Garrappa places the contour from the singularities in the same
+    way; the N-scaled Weideman-Trefethen parabola reaches s = 0.13 N and
+    amplifies rounding by about e^(0.13 N)).  Along u the terms fall off
+    like e^(-2 mu u^2) from the saddle, so the step h = min(0.15,
+    0.2 / sqrt(mu)) narrows with it; h = 0.15 keeps the branch point
+    u = i at 2 pi / h = 42 e-folds of discretisation error.  The nodes
+    end at u = sqrt(1 + 50 / mu), where |e^s| = e^(mu (1 - u^2)) = e^-50:
+    67 nodes at mu = 1/2 and 75 at beta = 171.
+
     Above CONTOUR_SUBTRACT_ALPHA the value cancels among the terms: near
     alpha = 1 the transform is close to s^(1-b) / (s + x), whose pole at
     s = -x sits on the branch cut.  There the rule integrates the
@@ -417,28 +420,21 @@ def _contour(alpha, beta, x):
 
     written so that nothing cancels as alpha -> 1, sums it with
     compensation, and adds back its inverse E_{1,b}(-x) from the
-    alpha = 1 routes before climbing.
+    alpha = 1 routes.
 
-    The discretisation error comes from s^(a-b) at s = 0 (u = i) and
-    grows with b - a: at alpha = 0.7, beta = 8 it is 3e-2.  So the rule
-    serves the base b of _base, and _climb takes it to beta.  The terms
-    are of order one, so the relative rounding grows where |E| is
-    small: as beta -> 0, E(-x) -> 1/Gamma(beta) ~ beta at small x, and
-    the error reads 1e-12 at beta = 1e-4 and 8e-11 at beta = 1e-6.
+    The terms at mu = 1/2 are of order one, so the relative rounding
+    grows where |E| is small: as beta -> 0, E(-x) -> 1/Gamma(beta) ~ beta
+    at small x, and the error reads 1e-12 at beta = 1e-4 and 8e-11 at
+    beta = 1e-6.
     """
-    # mu = 1/2 puts the contour's crossing of the real axis at s = 1/2,
-    # so |e^s| <= e^(1/2) on it and rounding is not amplified (the
-    # N-scaled Weideman-Trefethen parabola reaches s = 0.13 N and
-    # amplifies it by about e^(0.13 N)).  h = 0.15 keeps the branch point
-    # u = i at 2 pi / h = 42 e-folds of discretisation error, and the
-    # nodes end at u = 9.9, where |e^s| = e^(mu (1 - u^2)) < 1e-21.
-    mu, h, n = 0.5, 0.15, 67
-    b, m = _base(alpha, beta)
+    mu = max(0.5, beta - alpha)
+    h = min(0.15, 0.2 / math.sqrt(mu))
+    n = 1 + int(math.sqrt(1.0 + 50.0 / mu) / h)
     u = h * np.arange(n)
     s = mu * (1.0 + 1j * u) ** 2
     log_s = np.log(s)
     # h e^s s^(a-b) s'(u) / (2 pi i), with s'(u) = 2 i mu (1 + i u)
-    c = (h * mu / math.pi) * np.exp(s + (alpha - b) * log_s) * (1.0 + 1j * u)
+    c = (h * mu / math.pi) * np.exp(s + (alpha - beta) * log_s) * (1.0 + 1j * u)
     c[1:] *= 2.0
     q = np.exp(alpha * log_s)
     if alpha > C.CONTOUR_SUBTRACT_ALPHA:
@@ -446,17 +442,15 @@ def _contour(alpha, beta, x):
         f = (-c * np.expm1((1.0 - alpha) * log_s))[:, None] / (
             (q[:, None] + x) * (s[:, None] / x + 1.0)
         )
-        base = _compensated_sum(f.real.copy()) + _evaluate(1.0, b, -x)[0]
-    else:
-        # F_k = c_k / (q_k + x), in real arithmetic and in place
-        d = np.add.outer(x, q.real)
-        f = d * c.real
-        f += c.imag * q.imag
-        d *= d
-        d += q.imag**2
-        f /= d
-        base = f.sum(axis=1)
-    return _climb(alpha, b, m, x, base)
+        return _compensated_sum(f.real.copy()) + _evaluate(1.0, beta, -x)[0]
+    # F_k = c_k / (q_k + x), in real arithmetic and in place
+    d = np.add.outer(x, q.real)
+    f = d * c.real
+    f += c.imag * q.imag
+    d *= d
+    d += q.imag**2
+    f /= d
+    return f.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -475,26 +469,18 @@ def _evaluate(alpha, beta, z):
     ax = np.abs(z)
     left = z != 0.0
     val[~left] = reciprocal_gamma(beta)
+    # the series serves z > 0 while its terms stay below about 1e280
+    # (z^(1/alpha) <= 280 ln 10), at alpha = 1 up to ALPHA_ONE_ASYM_ABS_Z;
+    # on z < 0 it would cancel, and the routes below serve every point
     if alpha == 1.0:
-        band = (z > 0.0) & (z <= C.ALPHA_ONE_ASYM_ABS_Z)
+        top = C.ALPHA_ONE_ASYM_ABS_Z
     else:
-        with np.errstate(over="ignore"):
-            predicted = _LOG10E * ax ** (1.0 / alpha)
-        # at beta <= alpha + 1 the series leaves all of z < 0 to the
-        # asymptotic expansion and the contour rule
-        climbs = _base(alpha, beta)[1] > 0
-        band = np.where(
-            z < 0.0,
-            climbs & (predicted <= C.SERIES_PREDICTED_DIGITS_CAP),
-            predicted <= C.POSITIVE_SERIES_DIGITS_CAP,
-        )
-
-    idx = np.flatnonzero(band & left)
+        top = (C.POSITIVE_SERIES_DIGITS_CAP * math.log(10.0)) ** alpha
+    idx = np.flatnonzero((z > 0.0) & (z <= top))
     if idx.size:
-        v, converged, digits = _series_batch(alpha, beta, z[idx])
-        ok = converged & ((z[idx] > 0.0) | (digits <= C.SERIES_REALISED_DIGITS_CAP))
-        idx = idx[ok]
-        val[idx] = v[ok]
+        v, converged = _series_batch(alpha, beta, z[idx])
+        idx = idx[converged]
+        val[idx] = v[converged]
         code[idx] = _SERIES
         left[idx] = False
 
@@ -555,11 +541,10 @@ def eval_ml(q: MLQuery) -> float:
 def eval_ml_info(q: MLQuery) -> tuple[float, str]:
     """Value together with the label of the regime that produced it.
 
-    The labels are "series" (z > 0, and small |z| on the negative axis
-    only for beta > alpha + 1), "asymptotic", "integral" (every other
-    z < 0 at alpha < 1) and "closed-form" (z = 0, exp(z) at
-    alpha = beta = 1, and the Kummer transform for every z in
-    [-ALPHA_ONE_ASYM_ABS_Z, 0) at alpha = 1).
+    The labels are "series" (z > 0, at any alpha), "asymptotic",
+    "integral" (every other z < 0 at alpha < 1) and "closed-form"
+    (z = 0, exp(z) at alpha = beta = 1, and the Kummer transform for
+    every z in [-ALPHA_ONE_ASYM_ABS_Z, 0) at alpha = 1).
     """
     val, code = _evaluate(q.alpha, q.beta, np.array([q.z]))
     return float(val[0]), _REGIME_LABELS[code[0]]
@@ -573,21 +558,20 @@ def eval_ml_many(alpha: float, beta: float, z) -> np.ndarray:
     Each regime serves all of its points at once:
 
     * z = 0: 1/Gamma(beta); at alpha = beta = 1, exp(z) everywhere;
-    * the series band, one table sweep: 0 < z <= ALPHA_ONE_ASYM_ABS_Z at
-      alpha = 1, otherwise while the growth (z > 0) or, for
-      beta > alpha + 1 and z < 0, the predicted cancellation stays within
-      its digit cap.  A point leaves it only when its sum did not
-      converge or, for z < 0, cancelled past SERIES_REALISED_DIGITS_CAP;
+    * the series band, one table sweep, on z > 0 only: up to
+      ALPHA_ONE_ASYM_ABS_Z at alpha = 1, otherwise while the growth
+      stays within POSITIVE_SERIES_DIGITS_CAP.  A point leaves it only
+      when its sum did not converge;
     * z > 0 beyond: the exponential asymptotic form;
     * alpha = 1, z < 0: the Kummer sweep down to -ALPHA_ONE_ASYM_ABS_Z,
       the batched asymptotic expansion below;
     * alpha < 1, z <= -ASYM_MIN_ABS_Z: the batched asymptotic
       expansion, kept where its truncation estimate, plus for
       alpha > 2/3 the exponentials it drops, is within ASYM_ACCEPT_REL;
-    * the rest of z < 0: the contour rule, one (points x nodes) table for
-      the whole batch, directly for 0 < beta <= alpha + 1 and by upward
-      recurrence from it above; above CONTOUR_SUBTRACT_ALPHA it adds
-      E_{1,beta} from the alpha = 1 routes to the rule's difference.
+    * the rest of z < 0: the contour rule at beta itself, one
+      (points x nodes) table for the whole batch; above
+      CONTOUR_SUBTRACT_ALPHA it adds E_{1,beta} from the alpha = 1
+      routes to the rule's difference.
 
     A point's value does not depend on the batch it comes in.
     """

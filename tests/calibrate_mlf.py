@@ -49,15 +49,18 @@ def oracle(alpha, beta, z):
             bm = mp.mpf(beta)
             za = mp.mpf(z)
             s = mp.mpf(0)
-            term_scale = mp.mpf(1)
+            # the stop is relative to the largest term so far, so a value
+            # far below 1 (1e-47 at alpha = 0.5, beta = 40, z = -3) is
+            # summed to the same relative precision as any other
+            peak = mp.mpf(0)
             k = 0
             p = mp.mpf(1)
             while True:
                 t = p * mp.rgamma(am * k + bm)
                 s += t
-                if abs(t) < mp.mpf(10) ** (-dps - 5) * max(term_scale, mp.mpf(1)):
+                peak = max(peak, abs(t))
+                if abs(t) < mp.mpf(10) ** (-dps - 5) * peak:
                     break
-                term_scale = max(term_scale, abs(t))
                 p *= za
                 k += 1
                 if k > 200000:
@@ -76,17 +79,18 @@ def oracle(alpha, beta, z):
 
 
 def main():
-    alphas = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999, 1.0]
+    alphas = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999, 0.9999999, 1.0]
     zmags = [0.1, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 12.0, 18.0, 30.0, 60.0, 200.0, 1e3, 1e4, 1e5]
     t0 = time.time()
     worst = {}
     nchecked = 0
     for alpha in alphas:
-        # the cancellation-limited edge of the series band for this alpha,
-        # where argument-rounding error in the terms is at its worst
+        # where the series cancels by 3 digits, |z|^(1/alpha) = 6.9: small
+        # |z| for small alpha, which the contour rule serves at every beta
         edge = (3.0 / 0.4343) ** alpha
         mags = sorted(set(zmags) | {round(edge * f, 6) for f in (0.8, 0.99, 1.02)})
-        betas = sorted({0.02, 0.3, 0.7, 1.0, round(alpha, 6), round(alpha + 1.0, 6), 1.7, 2.5})
+        # beta = alpha itself: rounding 0.9999999 to 6 places would give 1
+        betas = sorted({0.02, 0.3, 0.7, 1.0, alpha, round(alpha + 1.0, 6), 1.7, 2.5, 8.0, 40.0})
         for beta in betas:
             for ax in mags:
                 z = -ax

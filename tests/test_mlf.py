@@ -118,19 +118,14 @@ def test_asymptotic_leading_bound():
 
 
 def test_info_regimes_partition():
-    for b in (0.3, 1.0, 1.6, 2.5):
+    # at alpha < 1 the series serves no z < 0, at any beta
+    for b in (0.3, 1.0, 1.6, 2.5, 8.0, 40.0):
         seen = set()
         for x in np.logspace(-2, 6, 120):
             val, regime = eval_ml_info(MLQuery(0.6, b, -float(x)))
             assert math.isfinite(val)
             seen.add(regime)
-        # below beta = alpha + 1 the series serves no z < 0; past it, the
-        # series keeps small |z| because the upward recurrence divides by z
-        if b <= 0.6 + 1.0:
-            assert seen == {"integral", "asymptotic"}, b
-        else:
-            assert seen == {"series", "integral", "asymptotic"}, b
-            assert eval_ml_info(MLQuery(0.6, b, -0.01))[1] == "series"
+        assert seen == {"integral", "asymptotic"}, b
 
 
 def test_regime_boundaries_are_continuous():
@@ -147,6 +142,9 @@ def _asymptotic_loop(alpha, beta, z):
     error floor and Neumaier sum, one point at a time.
     """
     nterms = mlconstants.ASYM_MAX_TERMS
+    # the batch's coefficients -1/Gamma(beta - j alpha), j = 1 .. nterms,
+    # with the rounding of beta - j alpha undone
+    table = -mlf._reciprocal_gamma_rows(alpha, beta, -np.arange(1.0, nterms + 1.0))
     zi = 1.0 / z
     p = 1.0
     terms, coefs = [], []
@@ -158,7 +156,7 @@ def _asymptotic_loop(alpha, beta, z):
             break
         if not math.isfinite(p):
             break
-        coef = -reciprocal_gamma(beta - j * alpha)
+        coef = float(table[j - 1])
         t = p * coef
         if not math.isfinite(t):
             break
@@ -172,7 +170,7 @@ def _asymptotic_loop(alpha, beta, z):
            for i in range(min(n, nterms - 1))]
     if underflow:
         # the first dropped term, z^-(n+1) / Gamma(beta - (n+1) alpha)
-        env[n - 1] = abs(reciprocal_gamma(beta - (n + 1) * alpha)) * abs(z) ** -(n + 1.0)
+        env[n - 1] = abs(float(table[n])) * abs(z) ** -(n + 1.0)
     cut = min(range(len(env)), key=env.__getitem__)
     s = 0.0
     c = 0.0
@@ -294,21 +292,19 @@ def test_positive_growth_overflows_silently():
         assert eval_ml(MLQuery(1.0, 1.5, 800.0)) == math.inf
 
 
-# from beta = 40 on both axes go wrong with no error or warning (ROADMAP
-# item 4e).  References: mpmath series at 120 digits, summed to a relative
-# 1e-60.  Likely causes: on z > 0, 1/Gamma(alpha k + beta) underflows to
-# 0 near alpha k + beta = 178, and a zero term meets the series' stop
-# rule before the terms peak; on z < 0, _climb takes about 78 steps at
-# (0.5, 40), each a difference of nearly equal values
-LARGE_BETA_SILENT = pytest.mark.xfail(
-    strict=True, reason="large beta returns wrong values without an error"
+# on z > 0 from beta = 40 on, the series goes wrong with no error or
+# warning (ROADMAP item 2(b)): 1/Gamma(alpha k + beta) underflows to 0
+# near alpha k + beta = 178, and a zero term meets the series' stop rule
+# before the terms peak.  References: mpmath series at 120 digits, summed
+# to a relative 1e-60
+SERIES_UNDERFLOWS = pytest.mark.xfail(
+    strict=True, reason="1/Gamma underflows in the series before its terms peak"
 )
 
 
-@LARGE_BETA_SILENT
 @pytest.mark.parametrize("a,b,z,want", [
-    (0.95, 40.0, 118.9874, 1.8692206536101429e-19),
-    (0.5, 100.0, 25.0, 8.7691897616632981e-06),
+    pytest.param(0.95, 40.0, 118.9874, 1.8692206536101429e-19, marks=SERIES_UNDERFLOWS),
+    pytest.param(0.5, 100.0, 25.0, 8.7691897616632981e-06, marks=SERIES_UNDERFLOWS),
     (0.5, 40.0, -3.0, 3.3196786593143849e-47),
 ])
 def test_large_beta_against_series(a, b, z, want):
@@ -444,20 +440,11 @@ def test_many_integral_points_do_not_depend_on_the_batch(a, b):
     np.testing.assert_array_equal(got, [eval_ml(MLQuery(a, b, float(z))) for z in zs])
 
 
-# at the series band's edge, beta = 20 takes 20 to 64 recurrence steps,
-# each a difference of nearly equal values; the 1 to 2 ulp rounding of
-# 1/Gamma then costs 1e-12 to 3e-12 relative, on the spectral route too
-RECURRENCE_CANCELS = pytest.mark.xfail(
-    strict=True, reason="upward recurrence loses up to 3e-12 at the series band's edge"
-)
-
-
 @pytest.mark.parametrize("a", [0.3, 0.7, 0.95])
-@pytest.mark.parametrize("b", [4.0, 8.0, pytest.param(20.0, marks=RECURRENCE_CANCELS)])
+@pytest.mark.parametrize("b", [4.0, 8.0, 20.0])
 def test_many_integral_large_beta_against_oracle(a, b):
-    # past beta = alpha + 1 the s^(alpha-beta) singularity spoils the
-    # contour rule's discretisation (3e-2 at alpha = 0.7, beta = 8), so
-    # these batches must climb by the recurrence from beta <= alpha + 1
+    # past beta = alpha + 1 the contour rule serves beta itself, from the
+    # smallest x up to the asymptotic regime
     band = _integral_band(a, b)
     xs = np.geomspace(band[0], band[-1], 40)
     assert np.all(mlf._evaluate(a, b, -xs)[1] == mlf._INTEGRAL)
@@ -480,6 +467,69 @@ def test_contour_bound_dominates_its_error(a, db):
     xs = np.geomspace(1e-8, 40.0, 12)
     for x, v in zip(xs, mlf._contour(a, b, xs)):
         assert v == pytest.approx(_transform_oracle(a, b, float(x)), rel=1e-12, abs=0.0), x
+
+
+def _relative_series(a, b, z, digits=30):
+    """sum z^k / Gamma(a k + b) in mpmath, stopped relative to the peak term.
+
+    The working precision covers the cancellation 0.4343 |z|^(1/a) on
+    top of digits, and the sum ends at the first term below 10^-dps of
+    the largest so far, so values far below 1 keep their precision.
+    """
+    cancel = 0.4343 * abs(z) ** (1.0 / a) if abs(z) > 1.0 else 0.0
+    dps = digits + int(cancel)
+    with mp.workdps(dps):
+        am, bm, zm = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+        s = peak = mp.mpf(0)
+        p = mp.mpf(1)
+        tol = mp.mpf(10) ** -dps
+        k = 0
+        while True:
+            t = p * mp.rgamma(am * k + bm)
+            s += t
+            peak = max(peak, abs(t))
+            if abs(t) < tol * peak:
+                return float(s)
+            p *= zm
+            k += 1
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.9, 0.9995, 0.9999, 0.9999999])
+@pytest.mark.parametrize("b", ["a+1.5", 8.0, 40.0, 70.0, 100.0, 171.0])
+def test_contour_at_large_beta_against_series(a, b):
+    # the rule crosses the real axis at the saddle s = beta - alpha, so it
+    # serves beta itself up to 171, down to values near 1e-307, from tiny
+    # x out to (-z)^(1/alpha) = 150
+    b = a + 1.5 if b == "a+1.5" else b
+    xs = np.geomspace(1e-8, 150.0**a, 12)
+    for x, v in zip(xs, mlf._contour(a, b, xs)):
+        assert v == pytest.approx(_relative_series(a, b, -float(x)), rel=1e-12, abs=0.0), x
+
+
+@pytest.mark.parametrize("a,b", [
+    (0.1, 1.0), (0.3, 0.9), (0.7, 1.4), (0.9999999, 0.9999999), (0.5, 1.5), (1.0, 0.02),
+])
+def test_reciprocal_gamma_rows_against_mpmath(a, b):
+    # the asymptotic coefficients 1/Gamma(beta - j alpha): at (0.1, 1),
+    # j = 10, beta - j alpha rounds onto the pole 0 of Gamma, and at
+    # (0.3, 0.9) and (0.7, 1.4) to within an ulp of one, while the exact
+    # values are no poles; (0.5, 1.5) meets exact poles, where 1/Gamma is 0
+    j = np.arange(1.0, mlconstants.ASYM_MAX_TERMS + 1.0)
+    got = mlf._reciprocal_gamma_rows(a, b, -j)
+    with mp.workdps(60):
+        want = [float(mp.rgamma(mp.mpf(b) - int(i) * mp.mpf(a))) for i in j]
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("x", [70.0, 100.0, 300.0, 1000.0])
+def test_asymptotic_near_alpha_one_at_beta_alpha(x):
+    # beta - j alpha = (1 - j) alpha lies within j 1e-7 of a Gamma pole,
+    # where forming it in double moves 1/Gamma by about 2e-9 relative;
+    # the coefficients undo that rounding
+    a = 0.9999999
+    val, regime = eval_ml_info(MLQuery(a, a, -x))
+    assert regime == "asymptotic"
+    assert val == pytest.approx(_relative_series(a, a, -x), rel=1e-13, abs=0.0)
 
 
 def test_query_validation():
