@@ -469,6 +469,51 @@ def _trial_cm(rng, tol):
     return _problem_draw(prob), check
 
 
+# data abscissae of the fit suite in u = lam^(1/alpha) x, from early
+# times to about eight relaxation times (the benchmark's fit grid)
+_FIT_U = np.geomspace(0.02, 8.5, 60)
+
+
+def _trial_fit(rng, tol):
+    # noiseless data from a truly level-1 or level-2 spec, fitted from
+    # 10 to 30 percent off the truth with lambda and every y_k free, and
+    # alpha too in one trial of three.  alpha's box is the interval that
+    # keeps the drawn gamma valid and truly at level n; a draw whose alpha
+    # start falls outside it is drawn again
+    n = int(rng.integers(1, 3))
+    names = parameter_names(n)
+    free = (("alpha",) if rng.random() < 1.0 / 3.0 else ()) + names[n + 1 :]
+    while True:
+        spec = _draw_truly_spec(rng, n, alpha_lo=0.3, alpha_hi=0.95)
+        lam = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+        y = tuple(float(v) for v in rng.uniform(0.3, 1.5, n))
+        off = rng.uniform(0.1, 0.3, len(free)) * rng.choice((-1.0, 1.0), len(free))
+        off = dict(zip(free, off))
+        truth = dict(zip(names, (spec.alpha, *spec.gamma, lam, *y)))
+        guess = [float(truth[nm] * (1.0 + off.get(nm, 0.0))) for nm in names]
+        s = spec.s
+        alpha_box = (max(0.01, n - 1.0 - s[-1] + 1e-9),
+                     min([1.0] + [k - sk for k, sk in enumerate(s, start=1)]))
+        if alpha_box[0] <= guess[0] <= alpha_box[1]:
+            break
+    prob = RelaxationProblem(spec, lam, y)
+    draw = {**_problem_draw(prob), "free": list(free), "guess": guess,
+            "alpha_box": list(alpha_box)}
+
+    def check():
+        x = _FIT_U * lam ** (-1.0 / spec.alpha)
+        data = evaluate_solution_many(solve_relaxation(prob), x)
+        mask = tuple(nm in free for nm in names)
+        bounds = (alpha_box,) + _fit_bounds(names, None)[1:]
+        res = fit_relaxation(FitProblem(x, data, n, mask, bounds, guess))
+        dev = max(abs(res.parameters[nm] / truth[nm] - 1.0) for nm in free)
+        if dev <= tol and res.converged:
+            return None
+        return {"deviation": dev, "converged": res.converged}
+
+    return draw, check
+
+
 # name: (trial, default trial count, default tolerance)
 _SUITES = {
     "ftfc": (_trial_ftfc, 100, 1e-10),
@@ -477,6 +522,7 @@ _SUITES = {
     "laplace": (_trial_laplace, 5, 1e-4),
     "picard": (_trial_picard, 3, 1e-5),
     "cm": (_trial_cm, 25, 1e-7),
+    "fit": (_trial_fit, 50, 1e-6),
 }
 SUITE_NAMES = tuple(_SUITES)
 

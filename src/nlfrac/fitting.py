@@ -10,12 +10,14 @@ linear in the initial values y_k, so the fit is a variable projection
 (Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): each trial of
 the nonlinear entries (alpha, gamma_k, lambda) evaluates the basis
 columns phi_k once and solves the free y_k by weighted linear least
-squares inside their box bounds.  A derivative-free simplex moves the
-free nonlinear entries only and scores each trial by the residual sum
-of squares that solve leaves.  Infeasible trials, anything outside its
-box bounds or the operator's validity region, score +inf rather than
-being clamped, so the simplex walks around the constraint boundary
-instead of sliding along it.
+squares inside their box bounds.  A Levenberg-Marquardt iteration
+(damped Gauss-Newton) moves the free nonlinear entries only, on the
+weighted residual vector that solve leaves, with its Jacobian from
+forward differences of that projected residual.  Steps are clipped to
+the box.  A trial outside the operator's validity region, which is not
+a box, is infeasible: it is rejected like a trial that does not lower
+the residual sum of squares, and the damping goes up until the step
+stays inside.
 
 The basis columns go through the same Mittag-Leffler path as the
 forward solver, which is what makes noiseless round trips land at
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize
 
 from .errors import NlfracError, ParameterOutOfRangeError
 from .mlf import eval_weighted_many
@@ -194,50 +195,120 @@ def _feasible(vec: np.ndarray, p: FitProblem) -> RelaxationProblem | None:
 
 
 def _projection(p: FitProblem, start: np.ndarray, nl_idx):
-    """Trial of the free nonlinear entries -> (rss, full parameter vector).
+    """Trial of the free nonlinear entries -> (weighted residual, full vector).
 
-    Entries not in nl_idx keep their start values, except the free y_k,
-    which the weighted linear least-squares solve sets.  A free y_k whose
-    box is a single value keeps the start value the box pinned it to.
+    The residual is None when the trial is infeasible.  Entries not in
+    nl_idx keep their start values, except the free y_k, which the
+    weighted linear least-squares solve sets.  A free y_k whose box is a
+    single value keeps the start value the box pinned it to.
     """
     n = p.n
     lo, hi = np.array(p.bounds[n + 2 :]).T
     free_y = np.array(p.free_mask[n + 2 :]) & (lo < hi)
     lo, hi = lo[free_y], hi[free_y]
 
-    def project(nl_vec: np.ndarray) -> tuple[float, np.ndarray]:
+    def project(nl_vec: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         vec = start.copy()
         vec[nl_idx] = nl_vec
         prob = _feasible(vec, p)
         if prob is None:
-            return math.inf, vec
+            return None, vec
         basis = _basis(prob, p.x) * p.weights[:, None]
         y = vec[n + 2 :]
         a = basis[:, free_y]
         b = p.y * p.weights - basis[:, ~free_y] @ y[~free_y]
         coef = np.linalg.lstsq(a, b, rcond=None)[0]
         if np.any(coef < lo) or np.any(coef > hi):
+            # only here: scipy.optimize is slow to import
+            from scipy.optimize import lsq_linear
+
             coef = lsq_linear(a, b, bounds=(lo, hi), method="bvls").x
         y[free_y] = coef
-        resid = a @ coef - b
-        return float(resid @ resid), vec
+        return a @ coef - b, vec
 
     return project
 
 
-def fit_relaxation(p: FitProblem, seed: int = 0, max_iter: int = 2000) -> FitResult:
-    """Variable projection: simplex over the free nonlinear entries.
+# forward-difference step, relative to max(|entry|, 1)
+_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+# step rule: a trial step shorter than this relative to the point ends the fit
+_XTOL = 1e-10
+# RSS rule: an accepted step lowering the RSS by less than this share ends it
+_FTOL = 1e-12
 
-    The simplex moves only the free entries among alpha, gamma_k and
-    lambda.  Each trial solves the free y_k by weighted linear least
-    squares within their box bounds, so no y_k is a simplex coordinate
-    and the guesses of the free y_k are never used.  ``iterations``
-    counts simplex iterations; it is 0 when no nonlinear entry is free,
-    and then the linear solve alone is the fit.  The seed only perturbs
-    the starting point (5 percent, one draw per free nonlinear entry),
-    so repeated calls with the same seed and data are bit-identical.  An
-    initial point scoring +inf is rejected up front: the simplex would
-    have no gradient information at all to escape it.
+
+def _jacobian(project, x, r, lo, hi) -> np.ndarray:
+    """Forward differences of the projected residual, one trial per entry.
+
+    Each difference steps towards the inside of the box and flips when
+    its trial is infeasible; an entry infeasible both ways gets a zero
+    column, so the step leaves it where it is.
+    """
+    jac = np.zeros((r.size, x.size))
+    for j in range(x.size):
+        h = _DIFF_STEP * max(abs(x[j]), 1.0)
+        if x[j] + h > hi[j]:
+            h = -h
+        for step in (h, -h):
+            trial = x.copy()
+            trial[j] += step
+            r_step = project(trial)[0]
+            if r_step is not None:
+                jac[:, j] = (r_step - r) / step
+                break
+    return jac
+
+
+def _levenberg_marquardt(project, x, r, vec, lo, hi, max_iter):
+    """Damped Gauss-Newton on project's residual within the box [lo, hi].
+
+    The damping is Marquardt's, scaled by the Jacobian's column norms.
+    A trial that is infeasible or does not lower the RSS is rejected and
+    the damping rises tenfold; an accepted one lowers it tenfold.
+    Returns (vec, residual, iterations, converged), where iterations
+    counts Jacobian evaluations.
+    """
+    rss = float(r @ r)
+    damping = 1e-3
+    for it in range(1, max_iter + 1):
+        jac = _jacobian(project, x, r, lo, hi)
+        scale = np.diag(np.linalg.norm(jac, axis=0))
+        rhs = np.concatenate([-r, np.zeros(x.size)])
+        while True:
+            lhs = np.vstack([jac, math.sqrt(damping) * scale])
+            trial = np.clip(x + np.linalg.lstsq(lhs, rhs, rcond=None)[0], lo, hi)
+            if np.linalg.norm(trial - x) <= _XTOL * (_XTOL + np.linalg.norm(x)):
+                return vec, r, it, True
+            r_trial, vec_trial = project(trial)
+            if r_trial is not None and (rss_trial := float(r_trial @ r_trial)) < rss:
+                break
+            damping *= 10.0
+        rss_prev = rss
+        x, r, vec, rss = trial, r_trial, vec_trial, rss_trial
+        damping /= 10.0
+        if rss_prev - rss <= _FTOL * rss_prev:
+            return vec, r, it, True
+    return vec, r, max_iter, False
+
+
+def fit_relaxation(p: FitProblem, seed: int = 0, max_iter: int = 2000) -> FitResult:
+    """Variable projection: Levenberg-Marquardt over the free nonlinear entries.
+
+    The iteration moves only the free entries among alpha, gamma_k and
+    lambda, inside their box bounds and the operator's validity region.
+    Each trial solves the free y_k by weighted linear least squares
+    within their box bounds, so no y_k is an iteration coordinate and
+    the guesses of the free y_k are never used.
+
+    ``iterations`` counts Levenberg-Marquardt iterations, one Jacobian
+    evaluation each; it is 0 when no nonlinear entry is free, and then
+    the linear solve alone is the fit.  ``converged`` is True when a
+    stopping rule was met within ``max_iter`` iterations: the trial step
+    fell below 1e-10 relative to the point, or an accepted step lowered
+    the residual sum of squares by less than 1e-12 of it.  The seed only
+    perturbs the starting point (5 percent, one draw per free nonlinear
+    entry), so repeated calls with the same seed and data are
+    bit-identical.  An infeasible initial point is rejected up front.
     """
     n = p.n
     names = parameter_names(n)
@@ -256,24 +327,16 @@ def fit_relaxation(p: FitProblem, seed: int = 0, max_iter: int = 2000) -> FitRes
             "constraints; adjust the guess or the bounds"
         )
     project = _projection(p, start, nl_idx)
-    nl_best, iterations, converged = start[nl_idx], 0, True
+    r, vec = project(start[nl_idx])
+    iterations, converged = 0, True
     if nl_idx:
-        res = minimize(
-            lambda v: project(v)[0],
-            nl_best,
-            method="Nelder-Mead",
-            options={
-                "maxiter": max_iter,
-                "xatol": 1e-10,
-                "fatol": 1e-24,
-                "adaptive": True,
-            },
+        lo, hi = np.array([p.bounds[i] for i in nl_idx]).T
+        vec, r, iterations, converged = _levenberg_marquardt(
+            project, start[nl_idx], r, vec, lo, hi, max_iter
         )
-        nl_best, iterations, converged = res.x, int(res.nit), bool(res.success)
-    rss, vec = project(nl_best)
     return FitResult(
         parameters=dict(zip(names, map(float, vec))),
-        rss=rss,
+        rss=float(r @ r),
         iterations=iterations,
         converged=converged,
         cm=cm_verdict(_problem(vec, n)),

@@ -74,6 +74,14 @@ def reciprocal_gamma(x: float) -> float:
     if x <= 0.0:
         if x == math.floor(x):
             return 0.0
+        # 1/Gamma(x) directly wherever Gamma(x) is finite and nonzero:
+        # the exp form below loses about |lgamma(x)| eps next to the poles
+        try:
+            g = math.gamma(x)
+        except OverflowError:
+            g = math.inf
+        if 0.0 < abs(g) < math.inf:
+            return 1.0 / g
         # Gamma alternates sign between negative integers:
         # positive on (-2,-1), (-4,-3), ...; floor(x) even means positive
         sign = 1.0 if math.floor(x) % 2 == 0 else -1.0

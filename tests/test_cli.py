@@ -225,6 +225,24 @@ def test_verify_seed_changes_draws(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_verify_fit_recovers_drawn_parameters(tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert run(["verify", "fit", "--trials", "6", "--out", str(a)]) == 0
+    assert run(["verify", "fit", "--trials", "6", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    doc = json.loads(a.read_text())
+    assert doc["failures"] == []
+    draws = doc["draws"]
+    # both levels, and alpha free in at least one trial
+    assert {len(d["y"]) for d in draws} == {1, 2}
+    assert any("alpha" in d["free"] for d in draws)
+    for d in draws:
+        assert d["free"][-len(d["y"]):] == [f"y_{k}" for k in range(1, len(d["y"]) + 1)]
+        lo, hi = d["alpha_box"]
+        assert lo <= d["guess"][0] <= hi
+
+
 def test_truly_spec_draws_never_fail():
     # alpha + s_{k-1} may land next to k - 2, the lower end of its range,
     # and gamma_k must still have a non-empty range to come from

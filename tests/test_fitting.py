@@ -186,3 +186,50 @@ def test_several_nonlinear_entries_free(free, start):
     assert r.converged
     for nm in free:
         assert r.parameters[nm] == pytest.approx(TRUTH[nm], rel=1e-8, abs=0.0)
+
+
+def test_fit_leaves_scipy_optimize_unimported():
+    # the bounded linear solve imports scipy.optimize only where a y box
+    # binds (test_initial_value_at_its_bound); importing the package and
+    # a fit whose boxes do not bind must not load it
+    import os
+    import subprocess
+    import sys
+
+    import nlfrac
+
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import nlfrac as nf\n"
+        "spec = nf.DerivativeSpec(2, 0.5, (0.5, 0.4))\n"
+        "xs = np.linspace(0.05, 4.0, 40)\n"
+        "ys = nf.evaluate_solution_many(nf.solve_relaxation(\n"
+        "    nf.RelaxationProblem(spec, 1.3, (1.0, 0.7))), xs)\n"
+        "bounds = ((0.01, 1.0), (0.0, 0.999), (0.0, 0.999),\n"
+        "          (1e-3, 1e2), (-1e2, 1e2), (-1e2, 1e2))\n"
+        "prob = nf.FitProblem(xs, ys, 2, (False, False, False, True, True, True),\n"
+        "                     bounds, (0.5, 0.5, 0.4, 1.6, 1.0, 0.7))\n"
+        "assert nf.fit_relaxation(prob).converged\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nlfrac.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rate_fit_takes_few_basis_evaluations(monkeypatch):
+    # the simplex took 51 basis evaluations on this problem
+    import nlfrac.fitting as fitting
+
+    calls = []
+    basis = fitting._basis
+    monkeypatch.setattr(fitting, "_basis", lambda *a: calls.append(1) or basis(*a))
+    r = fit_relaxation(_problem({"lambda", "y_1"}, jitter=1.3), seed=0)
+    assert r.converged
+    assert r.parameters["lambda"] == pytest.approx(TRUTH["lambda"], rel=1e-8, abs=0.0)
+    assert len(calls) <= 16
+    assert r.iterations <= 8

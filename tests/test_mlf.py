@@ -43,6 +43,15 @@ def test_reciprocal_gamma_values_and_poles():
     assert reciprocal_gamma(-0.5) == pytest.approx(1.0 / math.gamma(-0.5), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("x", [-6.999999999999998, -1.0000001, -3.0000000000000004,
+                               -0.5, -170.5])
+def test_reciprocal_gamma_next_to_negative_poles_against_mpmath(x):
+    # exp(-lgamma(x)) was off by 5.1e-15 at the first point, 1.6e-15 at the second
+    with mp.workdps(40):
+        want = float(mp.rgamma(mp.mpf(x)))
+    assert reciprocal_gamma(x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("x", [math.nan, -math.inf])
 def test_reciprocal_gamma_rejects_nan_and_minus_infinity(x):
     with pytest.raises(ParameterOutOfRangeError):
