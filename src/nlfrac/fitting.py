@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NlfracError, ParameterOutOfRangeError
-from .mlf import eval_weighted_many
+from .mlf import eval_weighted_terms
 from .relax import (
     AsymptoticForm,
     CMReport,
@@ -84,7 +84,7 @@ def _problem(vec, n: int) -> RelaxationProblem:
 def _basis(prob: RelaxationProblem, xs: np.ndarray) -> np.ndarray:
     """Columns phi_k(xs): the terms of the solution with unit weights."""
     sol = solve_relaxation(prob)
-    return np.column_stack([eval_weighted_many(q, xs) for _, q in sol.terms])
+    return eval_weighted_terms([q for _, q in sol.terms], xs).T
 
 
 def model_values(vec, n: int, xs: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import ParameterOutOfRangeError
 from .gridops import GradedGrid, SampledFunction, default_grading_exponent, laplace_numeric
 from .mlf import (
     CMWeightedParams,
-    eval_weighted_many,
+    eval_weighted_terms,
     reciprocal_gamma,
 )
 from .powerlaw import PowerSum
@@ -188,11 +188,13 @@ def evaluate_solution(sol: RelaxationSolution, x: float) -> float:
 
 
 def evaluate_solution_many(sol: RelaxationSolution, xs: np.ndarray) -> np.ndarray:
+    """The solution over an array of x >= 0; its terms share one Mittag-Leffler pass."""
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
-    for w, p in sol.terms:
-        if w != 0.0:
-            out += w * eval_weighted_many(p, xs)
+    live = [(w, p) for w, p in sol.terms if w != 0.0]
+    if live:
+        for (w, _), term in zip(live, eval_weighted_terms([p for _, p in live], xs)):
+            out += w * term
     return out
 
 

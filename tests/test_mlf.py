@@ -24,8 +24,10 @@ from nlfrac import (
     eval_ml_asymptotic_leading,
     eval_ml_info,
     eval_ml_many,
+    eval_ml_terms,
     eval_weighted,
     eval_weighted_many,
+    eval_weighted_terms,
     is_cm_params,
     reciprocal_gamma,
 )
@@ -268,8 +270,14 @@ def test_many_at_alpha_one_against_hypergeometric(rng, b):
 
 
 def test_info_labels():
-    assert eval_ml_info(MLQuery(1.0, 0.6, -500.0))[1] == "closed-form"
+    # alpha = 1 on z < 0: the expansion wherever its estimate clears
+    # ASYM_ACCEPT_REL, the Kummer transform where it does not, and past
+    # ALPHA_ONE_ASYM_ABS_Z the expansion whatever its estimate (at
+    # integer beta it reads about 1 at every |z|)
+    assert eval_ml_info(MLQuery(1.0, 0.6, -500.0))[1] == "asymptotic"
     assert eval_ml_info(MLQuery(1.0, 0.6, -5.0))[1] == "closed-form"
+    assert eval_ml_info(MLQuery(1.0, 2.0, -500.0))[1] == "closed-form"
+    assert eval_ml_info(MLQuery(1.0, 2.0, -5000.0))[1] == "asymptotic"
     assert eval_ml_info(MLQuery(1.0, 0.6, 300.0))[1] == "series"
     assert eval_ml_info(MLQuery(1.0, 0.6, -5000.0))[1] == "asymptotic"
     assert eval_ml_info(MLQuery(1.0, 1.0, -5000.0))[1] == "closed-form"
@@ -449,6 +457,82 @@ def test_many_integral_points_do_not_depend_on_the_batch(a, b):
     np.testing.assert_array_equal(got, [eval_ml(MLQuery(a, b, float(z))) for z in zs])
 
 
+# term sets like a relaxation solution's, with beta >= alpha so that E has
+# no zeros on z < 0: at alpha = 0.3 the table crosses at mu = 0.7, the
+# crossing of beta = 1, off the saddles of the smaller betas; at
+# alpha = 0.995 the rule takes the difference form; alpha = 1 shares no
+# table
+TERM_SETS = [
+    (0.3, (0.3, 0.65, 1.0)),
+    (0.6, (0.6, 0.9)),
+    (0.995, (0.995, 0.998, 1.0)),
+    (1.0, (0.4, 1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("a,betas", TERM_SETS)
+def test_terms_match_one_beta(a, betas):
+    zs = np.concatenate([-np.geomspace(1e-3, 1e3, 300), [0.0, 0.5, 20.0]])
+    got = eval_ml_terms(a, betas, zs)
+    assert got.shape == (len(betas), zs.size)
+    if a < 1.0:
+        codes = mlf._evaluate(a, np.array(betas), zs)[1]
+        assert np.all(np.sum(codes == mlf._INTEGRAL, axis=1) >= 100)
+    for b, row in zip(betas, got):
+        np.testing.assert_allclose(row, eval_ml_many(a, b, zs), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("a,betas", TERM_SETS)
+def test_terms_do_not_depend_on_the_batch(rng, a, betas):
+    zs = -np.geomspace(1e-3, 1e3, 400)
+    full = eval_ml_terms(a, betas, zs)
+    for size in (1, 2, 7, 64, 129, 399):
+        idx = rng.choice(zs.size, size=size, replace=False)
+        np.testing.assert_array_equal(eval_ml_terms(a, betas, zs[idx]), full[:, idx])
+
+
+def test_terms_do_not_depend_on_which_betas_need_the_table():
+    # at alpha = 0.8 the expansion takes beta = 1.6 from |z| = 21 on and
+    # beta = 0.8 only from |z| = 25; a batch from that band leaves the
+    # smaller betas alone to the contour rule, and their table must still
+    # cross at mu = 0.8, the crossing of beta = 1.6, as it does for the
+    # whole set
+    a, betas = 0.8, (0.8, 1.2, 1.6)
+    zs = -np.geomspace(10.0, 40.0, 200)
+    full = eval_ml_terms(a, betas, zs)
+    codes = mlf._evaluate(a, np.array(betas), zs)[1]
+    band = (codes[0] == mlf._INTEGRAL) & (codes[2] == mlf._ASYMPTOTIC)
+    assert band.sum() >= 5
+    np.testing.assert_array_equal(eval_ml_terms(a, betas, zs[band]), full[:, band])
+
+
+def test_terms_keep_the_shape_of_z():
+    z = np.array([[-0.5, -1.0, 0.0], [-20.0, 30.0, -700.0]])
+    got = eval_ml_terms(0.6, (0.6, 1.0), z)
+    assert got.shape == (2,) + z.shape
+    np.testing.assert_array_equal(got, eval_ml_terms(0.6, (0.6, 1.0), z.ravel()).reshape(got.shape))
+
+
+def test_terms_far_apart_take_their_own_tables():
+    # beta = 0.5 on the table of beta = 40 would stand e^39 above its value
+    zs = -np.geomspace(1e-2, 8.0, 60)
+    got = eval_ml_terms(0.7, (0.5, 40.0), zs)
+    np.testing.assert_array_equal(got[0], eval_ml_many(0.7, 0.5, zs))
+    np.testing.assert_array_equal(got[1], eval_ml_many(0.7, 40.0, zs))
+
+
+def test_asymptotic_with_cancellation_against_oracle():
+    # next to a zero of E the expansion's terms stand 900 times above the
+    # sum, so one-ulp changes of its coefficients move the value by up to
+    # 4e-13 (it reads 7e-14 here); the contour rule, whose terms stand
+    # 3e5 times above it, reads 1.1e-12
+    from calibrate_mlf import oracle
+
+    val, regime = eval_ml_info(MLQuery(0.6, 0.573, -10.593))
+    assert regime == "asymptotic"
+    assert val == pytest.approx(float(oracle(0.6, 0.573, -10.593)), rel=5e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("a", [0.3, 0.7, 0.95])
 @pytest.mark.parametrize("b", [4.0, 8.0, 20.0])
 def test_many_integral_large_beta_against_oracle(a, b):
@@ -574,6 +658,19 @@ def test_weighted_evaluation_consistency(rng):
         assert v == pytest.approx(direct, rel=1e-13, abs=0.0)
         # scalar and vector paths agree to rounding, not bitwise
         assert eval_weighted(p, x) == pytest.approx(v, rel=1e-15, abs=0.0)
+
+
+def test_weighted_terms_match_one_term():
+    ps = [CMWeightedParams(0.4, b, g, 1.3) for b, g in ((0.4, 1.0), (0.7, 1.2), (1.0, 1.0))]
+    xs = np.array([[0.0, 1e-3, 0.3], [2.0, 40.0, 0.0]])
+    got = eval_weighted_terms(ps, xs)
+    assert got.shape == (3,) + xs.shape
+    for p, row in zip(ps, got):
+        np.testing.assert_allclose(row, eval_weighted_many(p, xs), rtol=1e-13, atol=0.0)
+    with pytest.raises(ParameterOutOfRangeError):
+        eval_weighted_terms([ps[0], CMWeightedParams(0.4, 1.0, 1.0, 2.0)], xs)
+    with pytest.raises(EvaluationAtZeroUndefinedError):
+        eval_weighted_terms([ps[0], CMWeightedParams(0.4, 0.7, 0.5, 1.3)], xs)
 
 
 def test_weighted_at_zero():
